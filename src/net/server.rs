@@ -7,7 +7,7 @@
 //! server is a small set of plain threads over the same
 //! [`pram::pool::spawn_worker`] seam the shards use:
 //!
-//! * one **acceptor** polls a nonblocking [`TcpListener`] and spawns a
+//! * one **acceptor** blocks in [`TcpListener::accept`] and spawns a
 //!   reader/writer pair per connection;
 //! * each connection's **reader** decodes request frames and forwards them
 //!   to the dispatcher (a codec rejection is answered with an error frame
@@ -18,17 +18,19 @@
 //!   backpressures only itself;
 //! * one **dispatcher** owns the
 //!   [`ShardedRunner`] — the only thread that
-//!   touches it. It interleaves submissions with
-//!   [`try_collect_one`](crate::serve::ShardedRunner::try_collect_one)
-//!   polls, routing each completed outcome to the writer of the connection
-//!   whose ticket it answers. Requests from every connection funnel through
-//!   one submission sequence, so each request's outcome is exactly what the
+//!   touches it. It parks until a reader hands it a request or a shard
+//!   finishes one (both unpark it), submits every queued request, routes
+//!   every completed outcome to the writer of the connection whose ticket
+//!   it answers, and parks again: no timer sits between a completion and
+//!   its reply. Requests from every connection funnel through one
+//!   submission sequence, so each request's outcome is exactly what the
 //!   library would have produced — per-request determinism holds whatever
 //!   the cross-connection interleaving.
 //!
 //! [`Server::shutdown`] is graceful: in-flight (already submitted)
 //! requests complete and their responses are flushed; bytes not yet decoded
-//! off a socket are dropped with the connection.
+//! off a socket are dropped with the connection. It wakes the acceptor with
+//! one loopback connect to the listening port.
 
 use super::codec::{encode_error_frame, encode_outcome_frame};
 use super::frame::{self, FrameKind, ReadFrame, DEFAULT_MAX_PAYLOAD};
@@ -36,18 +38,24 @@ use crate::serve::{
     ConnectionStats, ResidentRegistry, ServeConfig, ServeStats, ShardedRunner, SolveOutcome,
     SolveRequest,
 };
+use pram::WorkspacePool;
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::Duration;
 
-/// How long blocking socket/queue operations wait before re-checking the
-/// shutdown flag.
+/// How long a reader's socket read, or a parked dispatcher, waits before
+/// re-checking for shutdown or a dead shard. Neither waits this long for
+/// work: data wakes a read, and every event or completion unparks the
+/// dispatcher.
 const POLL: Duration = Duration::from_millis(10);
+
+/// How long shutdown's loopback connect may take to wake the acceptor.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
@@ -95,6 +103,26 @@ enum Event {
     Disconnect {
         conn: u64,
     },
+    /// Sent by [`Server::shutdown`] once every reader has stopped: finish
+    /// what was submitted, then return.
+    Stop,
+}
+
+/// The sending side of the dispatcher's event queue. Every send unparks the
+/// dispatcher, so an event never waits for its timeout.
+#[derive(Clone)]
+struct Inbox {
+    events: mpsc::Sender<Event>,
+    dispatcher: Thread,
+}
+
+impl Inbox {
+    /// Queues `event`; `false` once the dispatcher has gone.
+    fn send(&self, event: Event) -> bool {
+        let sent = self.events.send(event).is_ok();
+        self.dispatcher.unpark();
+        sent
+    }
 }
 
 /// What flows from the dispatcher (or a reader, for codec rejections) to a
@@ -117,7 +145,7 @@ enum WriterMsg {
 pub struct Server {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    events: Option<mpsc::Sender<Event>>,
+    inbox: Inbox,
     acceptor: Option<JoinHandle<()>>,
     dispatcher: Option<JoinHandle<ServeStats>>,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -136,7 +164,6 @@ impl Server {
         config: &NetConfig,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let (events_tx, events_rx) = mpsc::channel::<Event>();
@@ -144,43 +171,52 @@ impl Server {
         let writers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
         let counters: Arc<Mutex<BTreeMap<u64, Arc<ConnCounters>>>> = Arc::default();
 
-        let runner = ShardedRunner::new(registry, &config.serve);
+        let serve = config.serve.clone();
         let dispatcher = pram::pool::spawn_worker("net-dispatcher".into(), None, move || {
+            // Built on this thread so that every shard unparks it when an
+            // outcome lands.
+            let wake = Some(std::thread::current());
+            let runner = ShardedRunner::with_wake(registry, &serve, WorkspacePool::default(), wake);
             dispatch(runner, events_rx)
         });
+        let inbox = Inbox {
+            events: events_tx,
+            dispatcher: dispatcher.thread().clone(),
+        };
 
         let acceptor = {
             let shutdown = Arc::clone(&shutdown);
-            let events = events_tx.clone();
+            let inbox = inbox.clone();
             let readers = Arc::clone(&readers);
             let writers = Arc::clone(&writers);
             let counters = Arc::clone(&counters);
             let max_payload = config.max_frame_payload;
             pram::pool::spawn_worker("net-acceptor".into(), None, move || {
                 let mut next_conn = 0u64;
-                while !shutdown.load(Ordering::Acquire) {
-                    match listener.accept() {
+                loop {
+                    let accepted = listener.accept();
+                    // Shutdown wakes this thread with a connect of its own.
+                    if shutdown.load(Ordering::Acquire) {
+                        break;
+                    }
+                    match accepted {
                         Ok((stream, _)) => {
-                            let conn = next_conn;
-                            next_conn += 1;
-                            if let Err(e) = spawn_connection(
-                                conn,
+                            // A socket that fails configuration (peer
+                            // already gone, typically) is dropped.
+                            let _ = spawn_connection(
+                                next_conn,
                                 stream,
                                 max_payload,
                                 &shutdown,
-                                &events,
+                                &inbox,
                                 &readers,
                                 &writers,
                                 &counters,
-                            ) {
-                                // Socket configuration failed (peer already
-                                // gone, typically): drop the connection.
-                                let _ = e;
-                            }
+                            );
+                            next_conn += 1;
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL);
-                        }
+                        // Out of descriptors, typically: back off rather
+                        // than spin on the failing accept.
                         Err(_) => std::thread::sleep(POLL),
                     }
                 }
@@ -190,7 +226,7 @@ impl Server {
         Ok(Server {
             addr,
             shutdown,
-            events: Some(events_tx),
+            inbox,
             acceptor: Some(acceptor),
             dispatcher: Some(dispatcher),
             readers,
@@ -216,17 +252,33 @@ impl Server {
     fn stop(&mut self) -> Option<ServeStats> {
         self.shutdown.store(true, Ordering::Release);
         if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
+            // A connect wakes the acceptor from `accept` to see the flag. If
+            // even a loopback connect fails, nothing can wake it: leave it
+            // detached rather than hang shutdown (the dispatcher ends on
+            // `Stop`, not on the acceptor's sender going away).
+            if TcpStream::connect_timeout(&loopback(self.addr), WAKE_TIMEOUT).is_ok() {
+                let _ = h.join();
+            }
         }
+        // Readers notice the flag within one read timeout. They leave their
+        // connections registered, so the dispatcher's drain below still
+        // reaches every writer.
         for h in self.readers.lock().expect("reader list").drain(..) {
             let _ = h.join();
         }
-        // All reader-held event senders are gone; dropping ours ends the
-        // dispatcher's event loop, which drains outstanding outcomes to the
-        // writers and then drops their queues.
-        self.events.take();
-        let stats = self.dispatcher.take().map(|h| {
-            let mut stats = h.join().expect("net: dispatcher thread panicked");
+        // No request can arrive after this: the dispatcher drains
+        // outstanding outcomes to the writers and then drops their queues.
+        self.inbox.send(Event::Stop);
+        let stats = self
+            .dispatcher
+            .take()
+            .map(|h| h.join().expect("net: dispatcher thread panicked"));
+        // Each writer exits once it has written what its queue still held,
+        // so the response counters below are final.
+        for h in self.writers.lock().expect("writer list").drain(..) {
+            let _ = h.join();
+        }
+        stats.map(|mut stats| {
             stats.connections = self
                 .counters
                 .lock()
@@ -240,12 +292,21 @@ impl Server {
                 })
                 .collect();
             stats
-        });
-        for h in self.writers.lock().expect("writer list").drain(..) {
-            let _ = h.join();
-        }
-        stats
+        })
     }
+}
+
+/// The address a loopback connect reaches a listener bound to `addr` on:
+/// `addr` itself, or the loopback address of its family when `addr` is
+/// unspecified (`0.0.0.0` or `::`).
+fn loopback(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 impl Drop for Server {
@@ -263,7 +324,7 @@ fn spawn_connection(
     stream: TcpStream,
     max_payload: u32,
     shutdown: &Arc<AtomicBool>,
-    events: &mpsc::Sender<Event>,
+    inbox: &Inbox,
     readers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
     writers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
     counters: &Arc<Mutex<BTreeMap<u64, Arc<ConnCounters>>>>,
@@ -281,7 +342,7 @@ fn spawn_connection(
     let (writer_tx, writer_rx) = mpsc::channel::<WriterMsg>();
     // Registration precedes the reader spawn, so the dispatcher always
     // learns of the connection before its first request.
-    let _ = events.send(Event::Connect {
+    inbox.send(Event::Connect {
         conn,
         writer: writer_tx.clone(),
     });
@@ -296,19 +357,23 @@ fn spawn_connection(
 
     let reader = {
         let shutdown = Arc::clone(shutdown);
-        let events = events.clone();
+        let inbox = inbox.clone();
         let counters = Arc::clone(&conn_counters);
         pram::pool::spawn_worker(format!("net-conn-{conn}-reader"), None, move || {
-            read_loop(
+            let closed = read_loop(
                 conn,
                 stream,
                 max_payload,
                 &shutdown,
-                &events,
+                &inbox,
                 writer_tx,
                 &counters,
             );
-            let _ = events.send(Event::Disconnect { conn });
+            // On shutdown the connection stays registered, so outcomes
+            // still in flight reach its writer during the dispatcher's drain.
+            if closed {
+                inbox.send(Event::Disconnect { conn });
+            }
         })
     };
     readers.lock().expect("reader list").push(reader);
@@ -316,17 +381,18 @@ fn spawn_connection(
 }
 
 /// One connection's request pump: frames off the socket, decoded requests
-/// into the dispatcher's queue. Returns when the peer closes, the codec
-/// rejects a frame, or shutdown is signalled.
+/// into the dispatcher's queue. Returns `true` when the connection is
+/// finished (the peer closed it, the codec rejected a frame, or the socket
+/// failed) and `false` when shutdown stopped the read.
 fn read_loop(
     conn: u64,
     mut stream: TcpStream,
     max_payload: u32,
     shutdown: &AtomicBool,
-    events: &mpsc::Sender<Event>,
+    inbox: &Inbox,
     writer: mpsc::Sender<WriterMsg>,
     counters: &ConnCounters,
-) {
+) -> bool {
     let stop = || shutdown.load(Ordering::Acquire);
     loop {
         match frame::read_frame(&mut stream, max_payload, &stop) {
@@ -334,15 +400,12 @@ fn read_loop(
                 match super::codec::decode_request_payload(&payload) {
                     Ok((correlation, request)) => {
                         counters.requests.fetch_add(1, Ordering::Relaxed);
-                        if events
-                            .send(Event::Submit {
-                                conn,
-                                correlation,
-                                request,
-                            })
-                            .is_err()
-                        {
-                            return;
+                        if !inbox.send(Event::Submit {
+                            conn,
+                            correlation,
+                            request,
+                        }) {
+                            return true;
                         }
                     }
                     Err(e) => {
@@ -352,7 +415,7 @@ fn read_loop(
                             code: e.code(),
                             message: e.to_string(),
                         });
-                        return;
+                        return true;
                     }
                 }
             }
@@ -364,9 +427,10 @@ fn read_loop(
                     code: 108,
                     message: "unexpected frame kind on a server connection".into(),
                 });
-                return;
+                return true;
             }
-            Ok(ReadFrame::Eof) | Ok(ReadFrame::Stopped) => return,
+            Ok(ReadFrame::Eof) => return true,
+            Ok(ReadFrame::Stopped) => return false,
             Err(crate::Error::Frame(e)) => {
                 counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 let _ = writer.send(WriterMsg::Error {
@@ -374,9 +438,9 @@ fn read_loop(
                     code: e.code(),
                     message: e.to_string(),
                 });
-                return;
+                return true;
             }
-            Err(_) => return, // socket error: the connection is gone
+            Err(_) => return true, // socket error: the connection is gone
         }
     }
 }
@@ -406,22 +470,21 @@ fn write_loop(mut stream: TcpStream, queue: mpsc::Receiver<WriterMsg>, counters:
     let _ = stream.flush();
 }
 
-/// The dispatcher loop: the single owner of the [`ShardedRunner`],
-/// interleaving submissions with completion polls so responses stream back
-/// while later requests are still arriving. Returns the runner's final
-/// stats (connection counters are attached by [`Server::shutdown`]).
+/// The dispatcher loop: the single owner of the [`ShardedRunner`]. It
+/// handles one event at a time, hands every completed outcome to its
+/// connection's writer after each, and parks once the queue is empty until
+/// the next event or completion unparks it. After [`Event::Stop`] it keeps
+/// going until every submitted request has been delivered, then returns the
+/// runner's final stats (connection counters are attached by
+/// [`Server::shutdown`]).
 fn dispatch(mut runner: ShardedRunner, events: mpsc::Receiver<Event>) -> ServeStats {
     let mut writers: BTreeMap<u64, mpsc::Sender<WriterMsg>> = BTreeMap::new();
     // ticket → (connection, correlation): which socket each outcome goes
     // back out on, and as which client-side request.
     let mut routes: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+    let mut stopping = false;
     loop {
-        let timeout = if runner.outstanding() > 0 {
-            Duration::from_millis(1)
-        } else {
-            POLL
-        };
-        match events.recv_timeout(timeout) {
+        match events.try_recv() {
             Ok(Event::Connect { conn, writer }) => {
                 writers.insert(conn, writer);
             }
@@ -438,17 +501,15 @@ fn dispatch(mut runner: ShardedRunner, events: mpsc::Receiver<Event>) -> ServeSt
                 // writer and be dropped on delivery.
                 writers.remove(&conn);
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
+            // Shutdown drain: every submitted request still completes and
+            // is flushed to its connection's writer before the queues close.
+            Ok(Event::Stop) => stopping = true,
+            Err(_) if stopping && runner.outstanding() == 0 => break,
+            // The timeout only bounds how late a dead shard is noticed
+            // (`try_collect_one` panics on one); work always unparks.
+            Err(_) => std::thread::park_timeout(POLL),
         }
         while let Some(out) = runner.try_collect_one(Duration::ZERO) {
-            deliver(&writers, &mut routes, out);
-        }
-    }
-    // Shutdown drain: every submitted request still completes and is
-    // flushed to its connection's writer before the queues close.
-    while runner.outstanding() > 0 {
-        if let Some(out) = runner.try_collect_one(Duration::from_millis(50)) {
             deliver(&writers, &mut routes, out);
         }
     }

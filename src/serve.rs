@@ -2255,7 +2255,20 @@ impl ShardedRunner {
     pub fn with_pool(
         registry: Arc<ResidentRegistry>,
         config: &ServeConfig,
+        pool: WorkspacePool,
+    ) -> Self {
+        Self::with_wake(registry, config, pool, None)
+    }
+
+    /// [`with_pool`](Self::with_pool), plus a thread every shard unparks
+    /// right after it sends an outcome: a caller that parks between
+    /// [`try_collect_one`](Self::try_collect_one) calls wakes the moment a
+    /// result lands instead of on a timer.
+    pub(crate) fn with_wake(
+        registry: Arc<ResidentRegistry>,
+        config: &ServeConfig,
         mut pool: WorkspacePool,
+        wake: Option<std::thread::Thread>,
     ) -> Self {
         let shards = config.shards.max(1);
         pool.ensure_shards(shards);
@@ -2268,6 +2281,7 @@ impl ShardedRunner {
             let ws = pool.checkout(shard);
             let result_tx = result_tx.clone();
             let cancel = Arc::clone(&cancel);
+            let wake = wake.clone();
             let handle = pram::pool::spawn_worker(
                 format!("serve-shard-{shard}"),
                 config.threads_per_shard,
@@ -2303,6 +2317,9 @@ impl ShardedRunner {
                         out.shard = shard;
                         if result_tx.send(out).is_err() {
                             break;
+                        }
+                        if let Some(waiter) = &wake {
+                            waiter.unpark();
                         }
                     }
                     runner.into_workspace()
@@ -2584,9 +2601,10 @@ impl ShardedRunner {
     /// tickets are recorded exactly like
     /// [`collect_streaming`](Self::collect_streaming), so the two modes and
     /// [`collect_ordered`](Self::collect_ordered) interoperate on one
-    /// runner. This is the poll the [`net`](crate::net) dispatcher
-    /// interleaves with submissions, so decoded requests keep flowing into
-    /// the shards while earlier responses stream back out.
+    /// runner. The [`net`](crate::net) dispatcher drains completions with a
+    /// zero timeout each time a shard wakes it, between submissions, so
+    /// decoded requests keep flowing into the shards while earlier
+    /// responses stream back out.
     ///
     /// # Panics
     /// Panics if a worker died with outcomes outstanding.
