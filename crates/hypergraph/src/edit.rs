@@ -23,12 +23,21 @@
 //!   snapshot and land on the identical graph (pinned by `tests/registry.rs`
 //!   in the facade crate and by the unit tests below).
 //!
+//! Application works on the base graph's CSR arrays, so its cost is one
+//! pass over them plus one incidence lookup per edit, with no per-edge
+//! allocation: each edited edge is looked up through the incidence list of
+//! its lowest-degree vertex, removed base edge ids and appended edges are
+//! recorded in side tables sized by the script, and the new edge CSR is
+//! written in one pass (runs of surviving edges copied with shifted
+//! offsets, then the appended edges) before the incidence index is rebuilt
+//! with the arena's counting sort.
+//!
 //! [`HypergraphBuilder::add_edge`]: crate::builder::HypergraphBuilder::add_edge
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use crate::graph::{Hypergraph, VertexId};
+use crate::graph::{EdgeId, Hypergraph, VertexId};
 
 /// One structural change to a [`Hypergraph`] — the unit the serving layer's
 /// resident edit logs are made of. See the [module docs](self) for the
@@ -142,6 +151,13 @@ pub enum EditError {
     /// `RemoveEdge` of an edge that is not present (payload: the normalized
     /// edge).
     NoSuchEdge(Vec<VertexId>),
+    /// `GrowVertices` would take the vertex id space beyond `u32`.
+    IdSpaceOverflow {
+        /// The vertex count at the point the edit was applied.
+        n: u32,
+        /// The requested number of fresh vertices.
+        extra: u32,
+    },
 }
 
 impl fmt::Display for EditError {
@@ -153,6 +169,10 @@ impl fmt::Display for EditError {
             EditError::EmptyEdge => write!(f, "edit normalizes to an empty edge"),
             EditError::DuplicateEdge(e) => write!(f, "edge {e:?} is already present"),
             EditError::NoSuchEdge(e) => write!(f, "no edge {e:?} to remove"),
+            EditError::IdSpaceOverflow { n, extra } => write!(
+                f,
+                "growing {n} vertices by {extra} exceeds the u32 vertex id space"
+            ),
         }
     }
 }
@@ -178,7 +198,15 @@ fn normalize(vertices: &[VertexId], n: u32) -> Result<Vec<VertexId>, EditError> 
 ///
 /// Surviving edges keep their relative order and added edges append, so
 /// application composes across intermediate rebuilds (see the
-/// [module docs](self)); `h` itself is never modified.
+/// [module docs](self)); `h` itself is never modified. A base that holds
+/// duplicate edges (which
+/// [`ActiveHypergraph::compact`](crate::active::ActiveHypergraph::compact)
+/// can produce) is handled like a list: `RemoveEdge(e)` drops the first
+/// remaining copy, and `e` then counts as absent until it is re-added, even
+/// if another copy remains.
+///
+/// Costs one pass over `h`'s CSR arrays plus one incidence lookup per edit
+/// (through the edge's lowest-degree vertex), with no per-edge allocation.
 ///
 /// # Errors
 /// Returns the first [`EditError`] in script order; on error nothing is
@@ -206,45 +234,253 @@ fn normalize(vertices: &[VertexId], n: u32) -> Result<Vec<VertexId>, EditError> 
 /// ```
 pub fn apply_edits(h: &Hypergraph, edits: &[GraphEdit]) -> Result<Hypergraph, EditError> {
     let mut n = h.n_vertices() as u32;
-    let mut edges = h.edges_owned();
-    let mut present: BTreeSet<Vec<VertexId>> = edges.iter().cloned().collect();
+    // Presence of every edge the script has touched; an untouched edge is
+    // present iff the base holds a copy of it.
+    let mut touched: BTreeMap<Vec<VertexId>, bool> = BTreeMap::new();
+    let mut removed: BTreeSet<EdgeId> = BTreeSet::new();
+    let mut added: Vec<Vec<VertexId>> = Vec::new();
     for edit in edits {
         match edit {
             GraphEdit::AddEdge(vs) => {
                 let e = normalize(vs, n)?;
-                if !present.insert(e.clone()) {
+                let present = match touched.get(&e) {
+                    Some(&present) => present,
+                    None => live_base_copy(h, &e, &removed).is_some(),
+                };
+                if present {
                     return Err(EditError::DuplicateEdge(e));
                 }
-                edges.push(e);
+                touched.insert(e.clone(), true);
+                added.push(e);
             }
             GraphEdit::RemoveEdge(vs) => {
                 let e = normalize(vs, n)?;
-                if !present.remove(&e) {
+                // Surviving base edges precede the appended ones, so the
+                // first remaining copy is a base copy whenever one is left.
+                let base_copy = live_base_copy(h, &e, &removed);
+                if !touched.get(&e).copied().unwrap_or(base_copy.is_some()) {
                     return Err(EditError::NoSuchEdge(e));
                 }
-                let i = edges
-                    .iter()
-                    .position(|x| *x == e)
-                    .expect("membership set and edge list agree");
-                edges.remove(i);
+                match base_copy {
+                    Some(id) => {
+                        removed.insert(id);
+                    }
+                    None => {
+                        let i = added
+                            .iter()
+                            .position(|x| *x == e)
+                            .expect("a present edge with no base copy was appended");
+                        added.remove(i);
+                    }
+                }
+                touched.insert(e, false);
             }
             GraphEdit::GrowVertices(extra) => {
                 n = n
                     .checked_add(*extra)
-                    .expect("edit grows the vertex id space beyond u32");
+                    .ok_or(EditError::IdSpaceOverflow { n, extra: *extra })?;
             }
         }
     }
-    Ok(Hypergraph::from_sorted_edges(n, edges))
+
+    let (eo, ev) = h.edge_csr();
+    let removed_len: usize = removed.iter().map(|&id| h.edge_len(id)).sum();
+    let added_len: usize = added.iter().map(Vec::len).sum();
+    let mut offsets = Vec::with_capacity(h.n_edges() - removed.len() + added.len() + 1);
+    let mut vertices = Vec::with_capacity(ev.len() - removed_len + added_len);
+    offsets.push(0u32);
+    // Copy each run of surviving base edges `start..end`, shifting its
+    // offsets down by the vertices removed before it.
+    let mut start = 0usize;
+    for end in removed
+        .iter()
+        .map(|&id| id as usize)
+        .chain(std::iter::once(h.n_edges()))
+    {
+        let (lo, hi) = (eo[start], eo[end]);
+        let shift = lo - vertices.len() as u32;
+        offsets.extend(eo[start + 1..=end].iter().map(|&o| o - shift));
+        vertices.extend_from_slice(&ev[lo as usize..hi as usize]);
+        start = end + 1;
+    }
+    for e in &added {
+        vertices.extend_from_slice(e);
+        offsets.push(vertices.len() as u32);
+    }
+    Ok(Hypergraph::from_edge_csr(n, offsets, vertices))
+}
+
+/// The lowest-id base edge equal to the normalized edge `e` that the script
+/// has not removed, found through the incidence list of `e`'s lowest-degree
+/// vertex (incidence lists are ascending, so the first match is the lowest).
+fn live_base_copy(h: &Hypergraph, e: &[VertexId], removed: &BTreeSet<EdgeId>) -> Option<EdgeId> {
+    if *e.last()? as usize >= h.n_vertices() {
+        return None; // a grown vertex: no base edge reaches it
+    }
+    let pivot = e.iter().copied().min_by_key(|&v| h.degree(v))?;
+    h.incident_edges(pivot)
+        .iter()
+        .copied()
+        .find(|&id| h.edge(id) == e && !removed.contains(&id))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::hypergraph_from_edges;
+    use crate::io::{csr_from_bytes, csr_to_bytes};
+    use proptest::prelude::*;
 
     fn base() -> Hypergraph {
         hypergraph_from_edges(5, vec![vec![0, 1], vec![1, 2, 3], vec![2, 4]])
+    }
+
+    /// The `BTreeSet` implementation `apply_edits` replaced, kept verbatim
+    /// as the differential oracle — except that growing past `u32` returns
+    /// [`EditError::IdSpaceOverflow`] where it used to panic.
+    fn apply_edits_reference(h: &Hypergraph, edits: &[GraphEdit]) -> Result<Hypergraph, EditError> {
+        let mut n = h.n_vertices() as u32;
+        let mut edges = h.edges_owned();
+        let mut present: BTreeSet<Vec<VertexId>> = edges.iter().cloned().collect();
+        for edit in edits {
+            match edit {
+                GraphEdit::AddEdge(vs) => {
+                    let e = normalize(vs, n)?;
+                    if !present.insert(e.clone()) {
+                        return Err(EditError::DuplicateEdge(e));
+                    }
+                    edges.push(e);
+                }
+                GraphEdit::RemoveEdge(vs) => {
+                    let e = normalize(vs, n)?;
+                    if !present.remove(&e) {
+                        return Err(EditError::NoSuchEdge(e));
+                    }
+                    let i = edges
+                        .iter()
+                        .position(|x| *x == e)
+                        .expect("membership set and edge list agree");
+                    edges.remove(i);
+                }
+                GraphEdit::GrowVertices(extra) => {
+                    n = n
+                        .checked_add(*extra)
+                        .ok_or(EditError::IdSpaceOverflow { n, extra: *extra })?;
+                }
+            }
+        }
+        Ok(Hypergraph::from_sorted_edges(n, edges))
+    }
+
+    /// A base graph that may hold duplicate edges: `from_sorted_edges`
+    /// keeps every normalized edge, as `ActiveHypergraph::compact` does.
+    fn base_with_duplicates(n: u32, raw: &[Vec<u32>]) -> Hypergraph {
+        let edges = raw
+            .iter()
+            .map(|e| {
+                let set: BTreeSet<VertexId> = e.iter().map(|&v| v % n).collect();
+                set.into_iter().collect()
+            })
+            .collect();
+        Hypergraph::from_sorted_edges(n, edges)
+    }
+
+    /// Turns `(kind, vertices, pick)` specs into a script. It tracks `n` and
+    /// the present edge set, so most edits are valid: toggles (add if
+    /// absent, remove if present) of arbitrary vertex sets, of base edges
+    /// and of the last added edge, remove-then-re-add pairs and grows. About
+    /// one spec in ten yields an edit that may fail — raw vertex lists
+    /// (empty or out of range), a duplicate add, a missing remove, or a grow
+    /// past `u32` — so scripts end early on every error kind.
+    fn script_from(h: &Hypergraph, specs: &[(u8, Vec<u32>, usize)]) -> Vec<GraphEdit> {
+        let mut n = h.n_vertices() as u32;
+        let mut present: BTreeSet<Vec<VertexId>> = h.edges_owned().into_iter().collect();
+        let mut script = Vec::new();
+        let mut last_added: Option<Vec<VertexId>> = None;
+        let mut toggle = |e: Vec<VertexId>, script: &mut Vec<GraphEdit>| {
+            if present.remove(&e) {
+                script.push(GraphEdit::RemoveEdge(e));
+            } else {
+                present.insert(e.clone());
+                script.push(GraphEdit::AddEdge(e));
+            }
+        };
+        for (kind, raw, pick) in specs {
+            let mut set: BTreeSet<VertexId> = raw.iter().map(|&v| v % n).collect();
+            if set.is_empty() {
+                set.insert(*pick as u32 % n);
+            }
+            let in_range: Vec<VertexId> = set.into_iter().collect();
+            let base_edge =
+                (h.n_edges() > 0).then(|| h.edge((pick % h.n_edges()) as EdgeId).to_vec());
+            match kind {
+                0 => script.push(GraphEdit::AddEdge(raw.clone())),
+                1 => script.push(GraphEdit::RemoveEdge(raw.clone())),
+                2 => script.push(GraphEdit::AddEdge(base_edge.unwrap_or(in_range))),
+                3 if pick % 4 == 0 => script.push(GraphEdit::GrowVertices(u32::MAX)),
+                3 => script.push(GraphEdit::RemoveEdge(in_range)),
+                4..=13 => toggle(in_range, &mut script),
+                14..=27 => match base_edge {
+                    Some(e) if kind % 2 == 0 => {
+                        toggle(e.clone(), &mut script);
+                        toggle(e, &mut script); // remove-then-re-add or the reverse
+                    }
+                    Some(e) => toggle(e, &mut script),
+                    None => toggle(in_range, &mut script),
+                },
+                28..=31 => {
+                    let e = last_added.take().unwrap_or(in_range);
+                    toggle(e, &mut script);
+                }
+                32..=35 => {
+                    let extra = (*pick % 3) as u32;
+                    n += extra;
+                    script.push(GraphEdit::GrowVertices(extra));
+                }
+                _ => {
+                    let mut e = in_range;
+                    if !e.contains(&(n - 1)) {
+                        e.push(n - 1); // the newest vertex, grown or not
+                    }
+                    toggle(e.clone(), &mut script);
+                    last_added = Some(e);
+                }
+            }
+            if let Some(GraphEdit::RemoveEdge(e)) = script.last_mut() {
+                if let (1, Some(&first)) = (pick % 2, e.first()) {
+                    e.reverse(); // un-normalized on purpose
+                    e.push(first);
+                }
+            }
+        }
+        script
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// `apply_edits` on the CSR arrays answers every script exactly like
+        /// the `BTreeSet` oracle — the same graph, arrays and `dim`
+        /// included, or the same first error — and every graph it returns
+        /// carries the canonical counting-sort incidence (the `HGCSR`
+        /// validator accepts nothing else).
+        #[test]
+        fn csr_apply_matches_the_btreeset_oracle(
+            n in 1u32..7,
+            raw_edges in prop::collection::vec(prop::collection::vec(0u32..7, 1..4), 0..12),
+            specs in prop::collection::vec(
+                (0u8..40, prop::collection::vec(0u32..10, 0..4), 0usize..64),
+                0..32,
+            ),
+        ) {
+            let h = base_with_duplicates(n, &raw_edges);
+            let script = script_from(&h, &specs);
+            let got = apply_edits(&h, &script);
+            prop_assert_eq!(&got, &apply_edits_reference(&h, &script));
+            if let Ok(g) = &got {
+                prop_assert_eq!(&csr_from_bytes(&csr_to_bytes(g)).unwrap(), g);
+            }
+        }
     }
 
     #[test]
@@ -313,6 +549,20 @@ mod tests {
         assert_eq!(
             apply_edits(&h, &[GraphEdit::AddEdge(vec![])]).unwrap_err(),
             EditError::EmptyEdge
+        );
+        assert_eq!(
+            apply_edits(
+                &h,
+                &[
+                    GraphEdit::GrowVertices(u32::MAX - 5),
+                    GraphEdit::GrowVertices(1),
+                ]
+            )
+            .unwrap_err(),
+            EditError::IdSpaceOverflow {
+                n: u32::MAX,
+                extra: 1
+            }
         );
     }
 

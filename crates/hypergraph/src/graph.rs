@@ -111,39 +111,60 @@ impl Hypergraph {
     ///
     /// Every edge must be sorted, duplicate-free, non-empty and reference only
     /// vertices `< n`. The builder enforces these invariants; this constructor
-    /// asserts them in debug builds.
+    /// asserts them in debug builds. The list is consumed while it is
+    /// flattened, so each edge's `Vec` is freed as soon as it is copied.
     pub(crate) fn from_sorted_edges(n: u32, edges: Vec<Vec<VertexId>>) -> Self {
-        let m = edges.len();
         let total: usize = edges.iter().map(|e| e.len()).sum();
-        let mut edge_offsets = Vec::with_capacity(m + 1);
+        let mut edge_offsets = Vec::with_capacity(edges.len() + 1);
         let mut edge_vertices = Vec::with_capacity(total);
-        let mut dim = 0u32;
         edge_offsets.push(0u32);
-        for e in &edges {
-            debug_assert!(!e.is_empty(), "edges must be non-empty");
-            debug_assert!(
-                e.windows(2).all(|w| w[0] < w[1]),
-                "edges must be sorted and duplicate-free"
-            );
-            debug_assert!(e.iter().all(|&v| v < n), "edge vertex out of range");
-            dim = dim.max(e.len() as u32);
-            edge_vertices.extend_from_slice(e);
+        for e in edges {
+            edge_vertices.extend_from_slice(&e);
             edge_offsets.push(edge_vertices.len() as u32);
         }
+        Self::from_edge_csr(n, edge_offsets, edge_vertices)
+    }
+
+    /// Builds the arena from an edge CSR: `offsets` (length `m + 1`,
+    /// starting at 0) delimiting each edge's run of `vertices`. Derives
+    /// `dim` and the vertex -> edge incidence index, the latter with one
+    /// counting sort, so each vertex's incident edges come out ascending.
+    ///
+    /// Every edge must be sorted, duplicate-free, non-empty and reference only
+    /// vertices `< n`; asserted in debug builds.
+    pub(crate) fn from_edge_csr(n: u32, offsets: Vec<u32>, vertices: Vec<VertexId>) -> Self {
+        debug_assert_eq!(offsets.first(), Some(&0), "offsets must start at 0");
+        debug_assert_eq!(
+            offsets.last().map(|&o| o as usize),
+            Some(vertices.len()),
+            "offsets must span the vertex array"
+        );
+        if cfg!(debug_assertions) {
+            for w in offsets.windows(2) {
+                let e = &vertices[w[0] as usize..w[1] as usize];
+                assert!(!e.is_empty(), "edges must be non-empty");
+                assert!(
+                    e.windows(2).all(|w| w[0] < w[1]),
+                    "edges must be sorted and duplicate-free"
+                );
+                assert!(e.iter().all(|&v| v < n), "edge vertex out of range");
+            }
+        }
+        let dim = offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
 
         // Build the vertex -> edge incidence index with a counting pass.
         let mut counts = vec![0u32; n as usize + 1];
-        for &v in &edge_vertices {
+        for &v in &vertices {
             counts[v as usize + 1] += 1;
         }
         for i in 0..n as usize {
             counts[i + 1] += counts[i];
         }
         let inc_offsets = counts.clone();
-        let mut cursor = inc_offsets.clone();
-        let mut incident = vec![0u32; edge_vertices.len()];
-        for (eid, e) in edges.iter().enumerate() {
-            for &v in e {
+        let mut cursor = counts;
+        let mut incident = vec![0u32; vertices.len()];
+        for (eid, w) in offsets.windows(2).enumerate() {
+            for &v in &vertices[w[0] as usize..w[1] as usize] {
                 let slot = cursor[v as usize];
                 incident[slot as usize] = eid as EdgeId;
                 cursor[v as usize] += 1;
@@ -152,8 +173,8 @@ impl Hypergraph {
 
         Hypergraph {
             n,
-            edge_offsets: edge_offsets.into(),
-            edge_vertices: edge_vertices.into(),
+            edge_offsets: offsets.into(),
+            edge_vertices: vertices.into(),
             inc_offsets: inc_offsets.into(),
             incident: incident.into(),
             dim,

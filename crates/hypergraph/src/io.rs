@@ -790,9 +790,13 @@ fn csr_layout(bytes: &[u8]) -> Result<CsrLayout, ParseError> {
 /// payload checksum, monotonic bounded offsets, sorted duplicate-free
 /// non-empty edges with in-range ids, an exact `dim`, and an incidence
 /// index that is *exactly* the canonical counting-sort of the edge arrays.
-/// After this passes, the arrays are indistinguishable from the output of
-/// the owned builder — which is what lets [`Hypergraph::from_validated_csr`]
-/// adopt them (mapped or owned) without further checks.
+/// After this passes, the arrays hold every invariant of an owned arena —
+/// which is what lets [`Hypergraph::from_validated_csr`] adopt them (mapped
+/// or owned) without further checks. Duplicate edges are accepted: the
+/// owned builder drops them, but
+/// [`ActiveHypergraph::compact`](crate::active::ActiveHypergraph::compact)
+/// can produce them (two edges that shrink to the same vertex set), and a
+/// persisted snapshot of such a graph must reopen.
 fn validate_csr_arrays(
     lay: &CsrLayout,
     eo: &[u32],

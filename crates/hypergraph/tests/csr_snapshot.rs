@@ -114,6 +114,45 @@ fn engine_construction_from_mapped_matches_owned() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `ActiveHypergraph::compact` can produce duplicate edges (two edges that
+/// shrink to the same vertex set) and `HGCSR` accepts them, so such a graph
+/// persists and reopens mapped. `apply_edits` answers the same scripts
+/// identically on the owned and mapped copies: a removal drops the first
+/// copy, removing again reports `NoSuchEdge` although a copy remains, and a
+/// re-add appends.
+#[test]
+fn duplicate_edges_from_compact_reopen_and_edit_identically() {
+    let h = hypergraph::builder::hypergraph_from_edges(4, vec![vec![0, 1, 2], vec![0, 1, 3]]);
+    let mut engine = ActiveHypergraph::from_hypergraph(&h);
+    engine.shrink_edges_by(&[false, false, true, true], &[2, 3]);
+    let (owned, _) = engine.compact();
+    assert_eq!(owned.edges_owned(), vec![vec![0, 1], vec![0, 1]]);
+    assert_eq!(csr_from_bytes(&csr_to_bytes(&owned)).unwrap(), owned);
+
+    let dir = temp_dir("duplicates");
+    let path = dir.join("duplicates.hgcsr");
+    write_csr(&owned, &path).unwrap();
+    let mapped = open_mapped(&path).unwrap();
+    assert_eq!(mapped, owned);
+
+    let remove = GraphEdit::RemoveEdge(vec![0, 1]);
+    let re_add = GraphEdit::AddEdge(vec![1, 0]);
+    let expected = [
+        (vec![remove.clone()], Ok(vec![vec![0, 1]])),
+        (
+            vec![remove.clone(), remove.clone()],
+            Err(EditError::NoSuchEdge(vec![0, 1])),
+        ),
+        (vec![remove, re_add], Ok(vec![vec![0, 1], vec![0, 1]])),
+    ];
+    for (script, want) in expected {
+        let from_owned = apply_edits(&owned, &script);
+        assert_eq!(from_owned, apply_edits(&mapped, &script), "{script:?}");
+        assert_eq!(from_owned.map(|g| g.edges_owned()), want, "{script:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // A snapshot has no recoverable prefix: truncation at *every* byte boundary
 // must reject the file — through both the owned decoder and the mapped
 // opener — and the full file must still parse.

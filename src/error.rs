@@ -65,6 +65,7 @@ impl Error {
             Error::Edit(EditError::EmptyEdge) => 402,
             Error::Edit(EditError::DuplicateEdge(_)) => 403,
             Error::Edit(EditError::NoSuchEdge(_)) => 404,
+            Error::Edit(EditError::IdSpaceOverflow { .. }) => 405,
             Error::Remote(e) => e.code,
         }
     }
@@ -136,6 +137,7 @@ impl From<RemoteError> for Error {
 mod tests {
     use super::*;
     use crate::serve::{DenyReason, Epoch, GraphId, TenantId};
+    use hypergraph::io::ParseError;
     use mis_core::linear::LinearError;
 
     fn gid() -> GraphId {
@@ -248,6 +250,23 @@ mod tests {
         ];
         for (e, code) in solve {
             assert_eq!(e.code(), code, "{e:?}");
+            assert_eq!(Error::from(e).code(), code);
+        }
+        let read: [(ReadError, u16); 2] = [
+            (ReadError::Io(std::io::Error::other("x")), 301),
+            (ReadError::Parse(ParseError::BadHeader("x".into())), 302),
+        ];
+        for (e, code) in read {
+            assert_eq!(Error::from(e).code(), code);
+        }
+        let edit: [(EditError, u16); 5] = [
+            (EditError::VertexOutOfRange { vertex: 9, n: 5 }, 401),
+            (EditError::EmptyEdge, 402),
+            (EditError::DuplicateEdge(vec![0, 1]), 403),
+            (EditError::NoSuchEdge(vec![0, 1]), 404),
+            (EditError::IdSpaceOverflow { n: 5, extra: 7 }, 405),
+        ];
+        for (e, code) in edit {
             assert_eq!(Error::from(e).code(), code);
         }
         assert_eq!(Error::Io(std::io::Error::other("x")).code(), 1);

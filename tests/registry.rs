@@ -24,7 +24,7 @@
 //! Runs in both the default and `--no-default-features` configurations (it
 //! only touches the flat engine).
 
-use hypergraph_mis::hypergraph::io::ReadError;
+use hypergraph_mis::hypergraph::io::{ParseError, ReadError};
 use hypergraph_mis::prelude::*;
 use hypergraph_mis::serve::{SolveError, SolveFingerprint, SolveOutcome};
 use proptest::prelude::*;
@@ -342,6 +342,48 @@ fn temp_wal(tag: &str) -> std::path::PathBuf {
         "hgmis-registry-{tag}-{}-{k}.wal",
         std::process::id()
     ))
+}
+
+/// Growing the vertex id space past `u32` is an `EditError`, never a panic:
+/// `apply` returns `IdSpaceOverflow` with the epoch and edit log untouched,
+/// and `restore` of a WAL whose batch overflows (every record checksums
+/// clean) reports `ReadError::Parse` and leaves the registry unchanged.
+#[test]
+fn id_space_overflow_is_an_error_not_a_panic() {
+    let overflow = [
+        GraphEdit::GrowVertices(u32::MAX),
+        GraphEdit::GrowVertices(1),
+    ];
+    let (registry, id) = fresh_registry();
+    let before = registry.latest(id);
+    assert_eq!(
+        registry.apply(id, &overflow).unwrap_err(),
+        EditError::IdSpaceOverflow {
+            n: 150,
+            extra: u32::MAX
+        }
+    );
+    assert_eq!(registry.current_epoch(id), Epoch(0));
+    assert!(registry.edit_log(id).is_empty());
+    assert!(registry.latest(id).graph() == before.graph());
+
+    let path = temp_wal("overflow");
+    hypergraph_mis::hypergraph::io::write_wal(&path, 0, &base_graph(), &[&overflow])
+        .expect("write WAL");
+    let mut fresh = ResidentRegistry::new();
+    let kept = fresh.register(base_graph());
+    let err = fresh.restore(&path).unwrap_err();
+    std::fs::remove_file(&path).ok();
+    assert!(
+        matches!(
+            err,
+            ReadError::Parse(ParseError::CorruptWalRecord { record: 1, .. })
+        ),
+        "{err}"
+    );
+    assert_eq!(fresh.len(), 1, "the half-restored graph must be dropped");
+    assert_eq!(fresh.current_epoch(kept), Epoch(0));
+    assert!(fresh.edit_log(kept).is_empty());
 }
 
 /// The headline durability pin: a registry persisted mid-mutation-stream and
