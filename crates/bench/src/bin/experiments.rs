@@ -1532,8 +1532,13 @@ fn batch_runner_experiment(quick: bool) {
                         marked[v as usize] = false;
                     }
                     let mut cost = CostTracker::new();
-                    let (set, _) =
-                        mis_core::bl::bl_on_active(&mut sub, &mut solve_rng(i), &bl_cfg, &mut cost);
+                    let (set, _) = bl_on_active_in(
+                        &mut sub,
+                        &mut solve_rng(i),
+                        &bl_cfg,
+                        &mut cost,
+                        &mut Workspace::new(),
+                    );
                     let c = cost.cost();
                     (set, (c.work, c.depth, cost.rounds()))
                 })
@@ -1804,6 +1809,20 @@ fn push_batch_row(
     ));
 }
 
+/// One SBL solve of `h` on a freshly built engine of type `E` with a fresh
+/// workspace — the activeset guard's timed unit. Returns the set and costs.
+#[cfg(feature = "reference-engine")]
+fn sbl_on_fresh_engine<E: hypergraph::ActiveEngine + Send + 'static>(
+    h: &hypergraph::Hypergraph,
+    rng: &mut rand_chacha::ChaCha8Rng,
+    cfg: &SblConfig,
+) -> (Vec<u32>, CostTracker) {
+    let mut engine = E::from_hypergraph(h);
+    let mut cost = CostTracker::new();
+    let (set, _, _) = sbl_on_active_in(&mut engine, rng, cfg, &mut cost, &mut Workspace::new());
+    (set, cost)
+}
+
 /// Engine regression guard: SBL on the `sbl_scaling` workloads, run on both
 /// the flat `ActiveHypergraph` engine and the pre-flat reference engine, with
 /// identical seeds. Asserts the engines make identical decisions (same
@@ -1871,36 +1890,36 @@ fn activeset_engine_guard(quick: bool) {
         for _ in 0..iters {
             let mut rng = rng_for(n as u64);
             let t0 = Instant::now();
-            let out = sbl_mis_with_engine::<ReferenceActiveHypergraph, _>(&h, &mut rng, &cfg);
+            let out = sbl_on_fresh_engine::<ReferenceActiveHypergraph>(&h, &mut rng, &cfg);
             best_ref = best_ref.min(t0.elapsed().as_secs_f64() * 1e3);
             reference = Some(out);
         }
-        let reference = reference.expect("iters >= 1");
+        let (reference_set, reference_cost) = reference.expect("iters >= 1");
 
         let mut best_flat = f64::INFINITY;
         let mut flat = None;
         for _ in 0..iters {
             let mut rng = rng_for(n as u64);
             let t0 = Instant::now();
-            let out = sbl_mis_with_engine::<ActiveHypergraph, _>(&h, &mut rng, &cfg);
+            let out = sbl_on_fresh_engine::<ActiveHypergraph>(&h, &mut rng, &cfg);
             best_flat = best_flat.min(t0.elapsed().as_secs_f64() * 1e3);
             flat = Some(out);
         }
-        let flat = flat.expect("iters >= 1");
+        let (flat_set, flat_cost) = flat.expect("iters >= 1");
 
-        verify_mis(&h, &flat.independent_set).expect("activeset: invalid MIS");
+        verify_mis(&h, &flat_set).expect("activeset: invalid MIS");
         assert_eq!(
-            flat.independent_set, reference.independent_set,
+            flat_set, reference_set,
             "activeset: engines disagree on the independent set (n={n})"
         );
-        let (fc, rc) = (flat.cost.cost(), reference.cost.cost());
+        let (fc, rc) = (flat_cost.cost(), reference_cost.cost());
         assert_eq!(
-            (fc.work, fc.depth, flat.cost.rounds()),
-            (rc.work, rc.depth, reference.cost.rounds()),
+            (fc.work, fc.depth, flat_cost.rounds()),
+            (rc.work, rc.depth, reference_cost.rounds()),
             "activeset: engines disagree on cost totals (n={n})"
         );
 
-        let rounds = flat.cost.rounds().max(1);
+        let rounds = flat_cost.rounds().max(1);
         let speedup = best_ref / best_flat;
         largest = Some((n, speedup));
         rows.push(vec![
@@ -1933,7 +1952,7 @@ fn activeset_engine_guard(quick: bool) {
             best_ref / rounds as f64,
             best_flat / rounds as f64,
             fc.work / rounds,
-            bench::baseline::fnv1a(format!("{:?}", flat.independent_set).as_bytes()),
+            bench::baseline::fnv1a(format!("{:?}", flat_set).as_bytes()),
         ));
     }
     println!(

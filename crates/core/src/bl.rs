@@ -21,12 +21,13 @@
 //! migration bounds and potential functions with observed behaviour.
 
 use hypergraph::degree::{beame_luby_probability, DegreeTable, MAX_ENUMERABLE_DIMENSION};
-use hypergraph::{ActiveEngine, ActiveHypergraph, Hypergraph, VertexId};
+use hypergraph::{ActiveEngine, Hypergraph, VertexId};
 use pram::cost::{Cost, CostTracker};
 use pram::Workspace;
 use rand::Rng;
 
 use crate::greedy::greedy_on_active_in;
+use crate::on_parked_engine;
 use crate::trace::{BlStageStats, BlTrace};
 
 /// Tuning knobs for a Beame–Luby run.
@@ -63,14 +64,14 @@ pub struct BlOutcome {
     pub cost: CostTracker,
 }
 
-/// Runs Beame–Luby on a full hypergraph with the default (flat) engine.
+/// Runs Beame–Luby on a full hypergraph.
 ///
 /// # Panics
 /// Panics if the hypergraph dimension exceeds
 /// [`MAX_ENUMERABLE_DIMENSION`] — BL is only meant for small dimensions; use
 /// [`crate::sbl::sbl_mis`] for general hypergraphs.
 pub fn bl_mis<R: Rng + ?Sized>(h: &Hypergraph, rng: &mut R, config: &BlConfig) -> BlOutcome {
-    bl_mis_with_engine::<ActiveHypergraph, R>(h, rng, config)
+    bl_mis_in(h, rng, config, &mut Workspace::new())
 }
 
 /// Runs Beame–Luby with a caller-owned [`Workspace`], reusing its buffers
@@ -83,37 +84,10 @@ pub fn bl_mis_in<R: Rng + ?Sized>(
     config: &BlConfig,
     ws: &mut Workspace,
 ) -> BlOutcome {
-    bl_mis_with_engine_in::<ActiveHypergraph, R>(h, rng, config, ws)
-}
-
-/// Runs Beame–Luby on a full hypergraph with an explicit [`ActiveEngine`]
-/// (used by the differential suites and the bench regression guard). Thin
-/// wrapper owning a fresh workspace.
-pub fn bl_mis_with_engine<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
-    h: &Hypergraph,
-    rng: &mut R,
-    config: &BlConfig,
-) -> BlOutcome {
-    bl_mis_with_engine_in::<E, R>(h, rng, config, &mut Workspace::new())
-}
-
-/// Engine-generic, workspace-reusing Beame–Luby entry point.
-pub fn bl_mis_with_engine_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
-    h: &Hypergraph,
-    rng: &mut R,
-    config: &BlConfig,
-    ws: &mut Workspace,
-) -> BlOutcome {
-    let mut active: E = match ws.take_any::<E>("mis.bl.engine") {
-        Some(mut engine) => {
-            engine.reset_from(h);
-            engine
-        }
-        None => E::from_hypergraph(h),
-    };
     let mut cost = CostTracker::new();
-    let (independent_set, trace) = bl_on_active_in(&mut active, rng, config, &mut cost, ws);
-    ws.put_any("mis.bl.engine", active);
+    let (independent_set, trace) = on_parked_engine(h, "mis.bl.engine", ws, |active, ws| {
+        bl_on_active_in(active, rng, config, &mut cost, ws)
+    });
     BlOutcome {
         independent_set,
         trace,
@@ -126,20 +100,11 @@ pub fn bl_mis_with_engine_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
 /// implicitly red). Returns the added vertices (sorted, global ids) and the
 /// stage trace; costs are recorded into `cost`.
 ///
-/// This is the entry point SBL uses on its sampled sub-hypergraphs.
-pub fn bl_on_active<E: ActiveEngine, R: Rng + ?Sized>(
-    active: &mut E,
-    rng: &mut R,
-    config: &BlConfig,
-    cost: &mut CostTracker,
-) -> (Vec<VertexId>, BlTrace) {
-    bl_on_active_in(active, rng, config, cost, &mut Workspace::new())
-}
-
-/// Workspace-reusing variant of [`bl_on_active`]: all per-stage flag and
-/// index scratch comes from (and returns to) `ws`, so a warmed-up workspace
-/// makes the stage loop allocation-free. Decisions, RNG consumption order
-/// and the recorded cost script are identical to [`bl_on_active`].
+/// This is the body every BL solve runs: [`bl_mis_in`] on a parked engine,
+/// SBL on its sampled sub-hypergraphs, the serving layer on induced
+/// sub-engines. All per-stage flag and index scratch comes from (and
+/// returns to) `ws`, so a warmed-up workspace makes the stage loop
+/// allocation-free.
 pub fn bl_on_active_in<E: ActiveEngine, R: Rng + ?Sized>(
     active: &mut E,
     rng: &mut R,

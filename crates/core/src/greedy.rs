@@ -76,70 +76,123 @@ pub fn greedy_mis_in(
     }
 }
 
-/// Greedy MIS over the alive part of an [`ActiveEngine`], used by SBL's
-/// tail and the BL safety net. Returns the vertices added (global ids).
+/// Greedy MIS over the alive part of an [`ActiveEngine`], scanning the alive
+/// vertices in increasing id order — SBL's tail, the BL safety net and the
+/// serving layer's induced greedy queries. Returns the vertices added
+/// (ascending, global ids); an engine with no alive vertex returns at once
+/// and charges nothing.
 ///
-/// Works on any engine; the incidence lists are rebuilt flat (counting sort
-/// over the live edges) so the scan is allocation-light and deterministic.
-pub fn greedy_on_active<E: ActiveEngine>(active: &E, cost: &mut CostTracker) -> Vec<VertexId> {
-    greedy_on_active_in(active, cost, &mut Workspace::new())
-}
-
-/// Workspace-reusing variant of [`greedy_on_active`]: the rebuilt incidence
-/// lists and counters come from (and return to) `ws`. Identical results.
+/// Per-call scratch (the rebuilt incidence lists and counters) comes from
+/// and returns to `ws`, and every pass is over the alive vertices or the
+/// live edges, never the id space, so an induced sub-engine costs what its
+/// own size costs.
 pub fn greedy_on_active_in<E: ActiveEngine>(
     active: &E,
     cost: &mut CostTracker,
     ws: &mut Workspace,
 ) -> Vec<VertexId> {
-    let mut alive = ws.take_u32("mis.greedy.alive");
-    active.alive_into(&mut alive);
-    if alive.is_empty() {
-        ws.put_u32("mis.greedy.alive", alive);
+    if active.n_alive() == 0 {
         return Vec::new();
     }
+    greedy_sweep(active, None, cost, ws)
+}
+
+/// The greedy scan over an engine's alive vertices in `order` (a
+/// permutation of the alive list; ascending when `None`). Charges exactly
+/// what [`greedy_mis_in`] charges on the compacted instance, including its
+/// one round when nothing is alive, and returns the added vertices in scan
+/// order.
+///
+/// The incidence lists over the live edges are rebuilt with one counting
+/// sort indexed by *rank* in the alive list; [`take_alive_ranks`] keeps the
+/// id → rank table.
+pub(crate) fn greedy_sweep<E: ActiveEngine>(
+    active: &E,
+    order: Option<&[VertexId]>,
+    cost: &mut CostTracker,
+    ws: &mut Workspace,
+) -> Vec<VertexId> {
+    let mut alive = ws.take_u32("mis.greedy.alive");
+    active.alive_into(&mut alive);
+    let rank = take_alive_ranks(ws, active.id_space(), &alive);
     // missing[e] counts how many more vertices of e would need to join.
-    // Flat incidence lists over the live edges (counting sort).
-    let id_space = active.id_space();
+    // Incidence by rank r: count into offsets[r + 2], prefix-sum, then
+    // scatter through offsets[r + 1], which leaves r's edges at
+    // incident[offsets[r]..offsets[r + 1]].
     let mut missing = ws.take_u32("mis.greedy.missing");
-    let mut inc_offsets = ws.take_u32_zeroed("mis.greedy.inc_offsets", id_space + 1);
+    let mut offsets = ws.take_u32_zeroed("mis.greedy.inc_offsets", alive.len() + 2);
     for e in active.edge_slices() {
         missing.push(e.len() as u32);
         for &v in e {
-            inc_offsets[v as usize + 1] += 1;
+            if let Some(r) = rank_of(&rank, &alive, v) {
+                offsets[r + 2] += 1;
+            }
         }
     }
-    for v in 0..id_space {
-        inc_offsets[v + 1] += inc_offsets[v];
+    for r in 1..offsets.len() {
+        offsets[r] += offsets[r - 1];
     }
-    let mut cursor = ws.take_u32("mis.greedy.cursor");
-    cursor.extend_from_slice(&inc_offsets);
-    let mut incident = ws.take_u32_zeroed("mis.greedy.incident", inc_offsets[id_space] as usize);
+    let mut incident = ws.take_u32_zeroed("mis.greedy.incident", offsets[alive.len() + 1] as usize);
     for (i, e) in active.edge_slices().enumerate() {
         for &v in e {
-            incident[cursor[v as usize] as usize] = i as u32;
-            cursor[v as usize] += 1;
+            if let Some(r) = rank_of(&rank, &alive, v) {
+                incident[offsets[r + 1] as usize] = i as u32;
+                offsets[r + 1] += 1;
+            }
         }
     }
     let mut added = Vec::new();
-    for &v in &alive {
-        let inc = &incident[inc_offsets[v as usize] as usize..inc_offsets[v as usize + 1] as usize];
+    let mut visit = |r: usize| {
+        let inc = &incident[offsets[r] as usize..offsets[r + 1] as usize];
         let blocked = inc.iter().any(|&e| missing[e as usize] == 1);
         cost.record(Cost::sequential(1 + inc.len() as u64));
         if !blocked {
-            added.push(v);
+            added.push(alive[r]);
             for &e in inc {
                 missing[e as usize] -= 1;
             }
         }
+    };
+    match order {
+        None => (0..alive.len()).for_each(&mut visit),
+        Some(order) => order
+            .iter()
+            .for_each(|&v| visit(rank_of(&rank, &alive, v).expect("order lists alive vertices"))),
     }
     cost.bump_round();
+    ws.put_any("mis.rank", rank);
     ws.put_u32("mis.greedy.alive", alive);
     ws.put_u32("mis.greedy.missing", missing);
-    ws.put_u32("mis.greedy.inc_offsets", inc_offsets);
-    ws.put_u32("mis.greedy.cursor", cursor);
+    ws.put_u32("mis.greedy.inc_offsets", offsets);
     ws.put_u32("mis.greedy.incident", incident);
     added
+}
+
+/// Takes the id → rank table of `alive` (ascending, duplicate-free) from
+/// `ws`: `rank[alive[i]] == i`. The table spans the id space but is parked
+/// in `ws` and never cleared, so a call writes only `alive`'s entries;
+/// read it through [`rank_of`], which tells stale entries apart. Park it
+/// again under `"mis.rank"`.
+pub(crate) fn take_alive_ranks(
+    ws: &mut Workspace,
+    id_space: usize,
+    alive: &[VertexId],
+) -> Vec<u32> {
+    let mut rank = ws.take_any::<Vec<u32>>("mis.rank").unwrap_or_default();
+    if rank.len() < id_space {
+        rank.resize(id_space, 0);
+    }
+    for (i, &v) in alive.iter().enumerate() {
+        rank[v as usize] = i as u32;
+    }
+    rank
+}
+
+/// The rank of `v` in `alive`, or `None` if `v` is not alive (its table
+/// entry is stale: `alive[rank[v]] != v`).
+pub(crate) fn rank_of(rank: &[u32], alive: &[VertexId], v: VertexId) -> Option<usize> {
+    let r = rank[v as usize] as usize;
+    (alive.get(r) == Some(&v)).then_some(r)
 }
 
 #[cfg(test)]
@@ -195,7 +248,7 @@ mod tests {
         let h = hypergraph_from_edges(6, vec![vec![0, 1, 2], vec![2, 3], vec![3, 4, 5]]);
         let active = ActiveHypergraph::from_hypergraph(&h);
         let mut cost = CostTracker::new();
-        let added = greedy_on_active(&active, &mut cost);
+        let added = greedy_on_active_in(&active, &mut cost, &mut Workspace::new());
         assert_eq!(added, greedy_mis(&h, None).independent_set);
     }
 
@@ -205,6 +258,7 @@ mod tests {
         let h = hypergraph_from_edges::<Vec<u32>>(0, vec![]);
         let active = ActiveHypergraph::from_hypergraph(&h);
         let mut cost = CostTracker::new();
-        assert!(greedy_on_active(&active, &mut cost).is_empty());
+        assert!(greedy_on_active_in(&active, &mut cost, &mut Workspace::new()).is_empty());
+        assert_eq!(cost.rounds(), 0);
     }
 }

@@ -25,12 +25,13 @@
 //! the behaviour the `O(√n)` analysis exploits. Experiment E5 measures the
 //! resulting round counts next to SBL's.
 
-use hypergraph::{ActiveEngine, ActiveHypergraph, Hypergraph, VertexId};
+use hypergraph::{ActiveEngine, Hypergraph, VertexId};
 use pram::cost::{Cost, CostTracker};
 use pram::Workspace;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use crate::on_parked_engine;
 use crate::trace::{KuwRoundStats, KuwTrace};
 
 /// Number of random candidate subsets tested per size per round.
@@ -47,45 +48,19 @@ pub struct KuwOutcome {
     pub cost: CostTracker,
 }
 
-/// Runs the KUW-style baseline on a full hypergraph with the default (flat)
-/// engine.
+/// Runs the KUW-style baseline on a full hypergraph.
 pub fn kuw_mis<R: Rng + ?Sized>(h: &Hypergraph, rng: &mut R) -> KuwOutcome {
-    kuw_mis_with_engine::<ActiveHypergraph, R>(h, rng)
+    kuw_mis_in(h, rng, &mut Workspace::new())
 }
 
 /// Runs the KUW-style baseline with a caller-owned [`Workspace`], reusing
 /// its buffers and parked engine across solves. Identical results to
 /// [`kuw_mis`] for the same seed.
 pub fn kuw_mis_in<R: Rng + ?Sized>(h: &Hypergraph, rng: &mut R, ws: &mut Workspace) -> KuwOutcome {
-    kuw_mis_with_engine_in::<ActiveHypergraph, R>(h, rng, ws)
-}
-
-/// Runs the KUW-style baseline on a full hypergraph with an explicit
-/// [`ActiveEngine`] (used by the differential suites). Thin wrapper owning a
-/// fresh workspace.
-pub fn kuw_mis_with_engine<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
-    h: &Hypergraph,
-    rng: &mut R,
-) -> KuwOutcome {
-    kuw_mis_with_engine_in::<E, R>(h, rng, &mut Workspace::new())
-}
-
-/// Engine-generic, workspace-reusing KUW entry point.
-pub fn kuw_mis_with_engine_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
-    h: &Hypergraph,
-    rng: &mut R,
-    ws: &mut Workspace,
-) -> KuwOutcome {
-    let mut active: E = match ws.take_any::<E>("mis.kuw.engine") {
-        Some(mut engine) => {
-            engine.reset_from(h);
-            engine
-        }
-        None => E::from_hypergraph(h),
-    };
     let mut cost = CostTracker::new();
-    let (independent_set, trace) = kuw_on_active_in(&mut active, rng, &mut cost, ws);
-    ws.put_any("mis.kuw.engine", active);
+    let (independent_set, trace) = on_parked_engine(h, "mis.kuw.engine", ws, |active, ws| {
+        kuw_on_active_in(active, rng, &mut cost, ws)
+    });
     KuwOutcome {
         independent_set,
         trace,
@@ -96,19 +71,11 @@ pub fn kuw_mis_with_engine_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>
 /// Runs the KUW-style baseline on an [`ActiveEngine`] in place, deciding
 /// every alive vertex. Returns the added vertices (sorted, global ids) and the
 /// round trace; costs are recorded into `cost`.
-pub fn kuw_on_active<E: ActiveEngine, R: Rng + ?Sized>(
-    active: &mut E,
-    rng: &mut R,
-    cost: &mut CostTracker,
-) -> (Vec<VertexId>, KuwTrace) {
-    kuw_on_active_in(active, rng, cost, &mut Workspace::new())
-}
-
-/// Workspace-reusing variant of [`kuw_on_active`]: the per-round flag and
-/// candidate buffers come from (and return to) `ws`, and the commit flags
-/// are unwound through the committed batch instead of being reallocated, so
-/// a warmed-up workspace makes the round loop allocation-free. Decisions,
-/// RNG consumption order and the recorded cost script are identical.
+///
+/// The per-round flag and candidate buffers come from (and return to) `ws`,
+/// and the commit flags are unwound through the committed batch instead of
+/// being reallocated, so a warmed-up workspace makes the round loop
+/// allocation-free.
 pub fn kuw_on_active_in<E: ActiveEngine, R: Rng + ?Sized>(
     active: &mut E,
     rng: &mut R,
@@ -123,8 +90,9 @@ pub fn kuw_on_active_in<E: ActiveEngine, R: Rng + ?Sized>(
     // practice; it guards against a logic error turning into a hang.
     let max_rounds = 4 * id_space + 16;
     // Per-round scratch: `flags` is cleared through the committed batch at
-    // the end of every round, so it stays all-false between rounds.
-    let mut flags = ws.take_flags("mis.kuw.flags", id_space);
+    // the end of every round, so it stays all-false between rounds and
+    // between runs (a trusted clean take: no `O(id_space)` re-zeroing).
+    let mut flags = ws.take_flags_clean("mis.kuw.flags", id_space);
     let mut alive = ws.take_u32("mis.kuw.alive");
     let mut scratch = ws.take_u32("mis.kuw.scratch");
     let mut best = ws.take_u32("mis.kuw.best");

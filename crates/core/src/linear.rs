@@ -12,13 +12,13 @@
 //! [`crate::bl`]. A linearity check is performed up front so callers cannot
 //! accidentally run the specialised probability on a non-linear instance.
 
-use hypergraph::degree::max_vertex_degree;
-use hypergraph::{ActiveEngine, ActiveHypergraph, Hypergraph, VertexId};
+use hypergraph::{ActiveEngine, Hypergraph, HypergraphView, VertexId};
 use pram::cost::{Cost, CostTracker};
 use pram::Workspace;
 use rand::Rng;
 
-use crate::greedy::greedy_on_active_in;
+use crate::greedy::{greedy_on_active_in, rank_of, take_alive_ranks};
+use crate::on_parked_engine;
 use crate::trace::{BlStageStats, BlTrace};
 
 /// Result of a linear-hypergraph MIS run.
@@ -57,14 +57,15 @@ impl std::fmt::Display for LinearError {
 
 impl std::error::Error for LinearError {}
 
-/// Checks whether a hypergraph is linear (`|e ∩ e'| ≤ 1` for all distinct
-/// edges). Returns the first violating pair if not.
-pub fn check_linear(h: &Hypergraph) -> Result<(), LinearError> {
+/// Checks whether a hypergraph (or the live edges of an engine) is linear
+/// (`|e ∩ e'| ≤ 1` for all distinct edges). Returns the first violating
+/// pair if not, as indices in edge order.
+pub fn check_linear<V: HypergraphView + ?Sized>(h: &V) -> Result<(), LinearError> {
     use std::collections::HashMap;
     // Map each vertex pair appearing inside an edge to that edge; a repeat is
     // a violation.
     let mut pair_owner: HashMap<(VertexId, VertexId), usize> = HashMap::new();
-    for (idx, e) in h.edges().enumerate() {
+    for (idx, e) in h.edge_slices().enumerate() {
         for i in 0..e.len() {
             for j in (i + 1)..e.len() {
                 if let Some(&first) = pair_owner.get(&(e[i], e[j])) {
@@ -86,7 +87,7 @@ pub fn linear_mis<R: Rng + ?Sized>(
     h: &Hypergraph,
     rng: &mut R,
 ) -> Result<LinearOutcome, LinearError> {
-    linear_mis_with_engine::<ActiveHypergraph, R>(h, rng)
+    linear_mis_in(h, rng, &mut Workspace::new())
 }
 
 /// Computes an MIS of a linear hypergraph with a caller-owned [`Workspace`],
@@ -97,49 +98,46 @@ pub fn linear_mis_in<R: Rng + ?Sized>(
     rng: &mut R,
     ws: &mut Workspace,
 ) -> Result<LinearOutcome, LinearError> {
-    linear_mis_with_engine_in::<ActiveHypergraph, R>(h, rng, ws)
-}
-
-/// Computes an MIS of a linear hypergraph with an explicit [`ActiveEngine`]
-/// (used by the differential suites). Thin wrapper owning a fresh workspace.
-pub fn linear_mis_with_engine<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
-    h: &Hypergraph,
-    rng: &mut R,
-) -> Result<LinearOutcome, LinearError> {
-    linear_mis_with_engine_in::<E, R>(h, rng, &mut Workspace::new())
-}
-
-/// Engine-generic, workspace-reusing linear-hypergraph entry point.
-pub fn linear_mis_with_engine_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
-    h: &Hypergraph,
-    rng: &mut R,
-    ws: &mut Workspace,
-) -> Result<LinearOutcome, LinearError> {
-    check_linear(h)?;
-    let mut active: E = match ws.take_any::<E>("mis.linear.engine") {
-        Some(mut engine) => {
-            engine.reset_from(h);
-            engine
-        }
-        None => E::from_hypergraph(h),
-    };
     let mut cost = CostTracker::new();
+    let (independent_set, trace) = on_parked_engine(h, "mis.linear.engine", ws, |active, ws| {
+        linear_on_active_in(active, rng, &mut cost, ws)
+    })?;
+    Ok(LinearOutcome {
+        independent_set,
+        trace,
+        cost,
+    })
+}
+
+/// Runs the linear-hypergraph algorithm on an [`ActiveEngine`] in place,
+/// deciding every alive vertex. Checks linearity of the live edges first
+/// (leaving the engine untouched if the check fails), then returns the added
+/// vertices (sorted, global ids) and the stage trace; costs are recorded
+/// into `cost`.
+pub fn linear_on_active_in<E: ActiveEngine, R: Rng + ?Sized>(
+    active: &mut E,
+    rng: &mut R,
+    cost: &mut CostTracker,
+    ws: &mut Workspace,
+) -> Result<(Vec<VertexId>, BlTrace), LinearError> {
+    check_linear(&*active)?;
     let mut trace = BlTrace::default();
     let mut independent_set: Vec<VertexId> = Vec::new();
     let id_space = active.id_space();
     let max_stages = 100_000usize;
     let mut stage = 0usize;
     // Per-stage scratch, cleared by resetting the entries of the stage's
-    // alive vertices (every set entry belongs to an alive vertex).
-    let mut marked = ws.take_flags("mis.linear.marked", id_space);
-    let mut unmark = ws.take_flags("mis.linear.unmark", id_space);
-    let mut accepted_flags = ws.take_flags("mis.linear.accepted", id_space);
+    // alive vertices (every set entry belongs to an alive vertex), so the
+    // flags go back all-false and come out through trusted clean takes.
+    let mut marked = ws.take_flags_clean("mis.linear.marked", id_space);
+    let mut unmark = ws.take_flags_clean("mis.linear.unmark", id_space);
+    let mut accepted_flags = ws.take_flags_clean("mis.linear.accepted", id_space);
     let mut alive = ws.take_u32("mis.linear.alive");
     let mut accepted: Vec<VertexId> = ws.take_u32("mis.linear.accepted_list");
 
     while active.n_alive() > 0 {
         if stage >= max_stages {
-            let added = greedy_on_active_in(&active, &mut cost, ws);
+            let added = greedy_on_active_in(active, cost, ws);
             active.alive_into(&mut alive);
             active.kill_vertices(&alive);
             independent_set.extend(added);
@@ -148,6 +146,7 @@ pub fn linear_mis_with_engine_in<E: ActiveEngine + Send + 'static, R: Rng + ?Siz
         let n_alive = active.n_alive();
         let m = active.n_live_edges();
         let dim = active.dimension();
+        active.alive_into(&mut alive);
 
         // Linear marking probability: with D = max vertex degree and edges of
         // size >= 2, marking with p = 1/(2 (D · d)^{1/(d-1)} ) keeps the
@@ -156,13 +155,12 @@ pub fn linear_mis_with_engine_in<E: ActiveEngine + Send + 'static, R: Rng + ?Siz
         let p = if m == 0 {
             1.0
         } else {
-            let vertex_degree = max_vertex_degree(&active).max(1) as f64;
+            let vertex_degree = max_alive_degree(&*active, &alive, ws).max(1) as f64;
             let d = dim.max(2) as f64;
             (0.5 / (vertex_degree * d).powf(1.0 / (d - 1.0))).clamp(f64::MIN_POSITIVE, 1.0)
         };
 
         let mut n_marked = 0usize;
-        active.alive_into(&mut alive);
         for &v in &alive {
             if rng.gen_bool(p) {
                 marked[v as usize] = true;
@@ -231,13 +229,27 @@ pub fn linear_mis_with_engine_in<E: ActiveEngine + Send + 'static, R: Rng + ?Siz
     ws.put_flags("mis.linear.accepted", accepted_flags);
     ws.put_u32("mis.linear.alive", alive);
     ws.put_u32("mis.linear.accepted_list", accepted);
-    ws.put_any("mis.linear.engine", active);
     independent_set.sort_unstable();
-    Ok(LinearOutcome {
-        independent_set,
-        trace,
-        cost,
-    })
+    Ok((independent_set, trace))
+}
+
+/// The largest number of live edges through one alive vertex, counted by
+/// rank in `alive` (the engine's ascending alive list), so the count costs
+/// `O(|alive| + Σ|e|)` and never touches the id space.
+fn max_alive_degree<E: ActiveEngine>(active: &E, alive: &[VertexId], ws: &mut Workspace) -> u32 {
+    let rank = take_alive_ranks(ws, active.id_space(), alive);
+    let mut degree = ws.take_u32_zeroed("mis.linear.degree", alive.len());
+    for e in active.edge_slices() {
+        for &v in e {
+            if let Some(r) = rank_of(&rank, alive, v) {
+                degree[r] += 1;
+            }
+        }
+    }
+    let max = degree.iter().copied().max().unwrap_or(0);
+    ws.put_any("mis.rank", rank);
+    ws.put_u32("mis.linear.degree", degree);
+    max
 }
 
 #[cfg(test)]

@@ -14,20 +14,21 @@
 //!
 //! * [`permutation_mis`] — the exact random-order greedy (the distribution the
 //!   conjecture is about), used as a baseline and as a differential-testing
-//!   oracle;
+//!   oracle, and [`permutation_on_active_in`], the same over the alive part
+//!   of an engine;
 //! * [`permutation_rounds_mis`] — a round-structured execution that processes
 //!   the permutation in chunks, deciding each chunk in one parallel round the
 //!   way an implementation on a PRAM would, and reporting the number of rounds
 //!   used. The chunk schedule doubles, mirroring the prefix-doubling schedule
 //!   Shachnai–Srinivasan analyse.
 
-use hypergraph::{Hypergraph, VertexId};
+use hypergraph::{ActiveEngine, Hypergraph, VertexId};
 use pram::cost::{Cost, CostTracker};
 use pram::Workspace;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::greedy::greedy_mis_in;
+use crate::greedy::{greedy_mis_in, greedy_sweep};
 
 /// Result of a permutation-MIS run.
 #[derive(Debug, Clone)]
@@ -67,6 +68,24 @@ pub fn permutation_mis_in<R: Rng + ?Sized>(
         rounds: 1,
         cost: out.cost,
     }
+}
+
+/// Random-order greedy over the alive part of an [`ActiveEngine`]: shuffles
+/// the ascending alive list and scans the alive vertices in that order.
+/// Returns the independent set (sorted, global ids) and the permutation;
+/// costs, one round even when nothing is alive, go into `cost`. The same
+/// answer as [`permutation_mis_in`] on the compacted instance, mapped back.
+pub fn permutation_on_active_in<E: ActiveEngine, R: Rng + ?Sized>(
+    active: &E,
+    rng: &mut R,
+    cost: &mut CostTracker,
+    ws: &mut Workspace,
+) -> (Vec<VertexId>, Vec<VertexId>) {
+    let mut order = active.alive_vertices();
+    order.shuffle(rng);
+    let mut set = greedy_sweep(active, Some(&order), cost, ws);
+    set.sort_unstable();
+    (set, order)
 }
 
 /// Round-structured execution of the permutation algorithm: the permutation is

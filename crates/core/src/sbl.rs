@@ -33,6 +33,7 @@ use crate::bl::{bl_on_active_in, bl_on_active_scratch, BlConfig, BlScratch};
 use crate::coloring::Coloring;
 use crate::greedy::greedy_on_active_in;
 use crate::kuw::kuw_on_active_in;
+use crate::on_parked_engine;
 use crate::trace::{SblRoundStats, SblTrace, TailAlgorithm};
 
 /// Which algorithm SBL uses on the residual instance (fewer than `1/p²`
@@ -115,13 +116,13 @@ pub fn sbl_mis<R: Rng + ?Sized>(h: &Hypergraph, rng: &mut R) -> SblOutcome {
     sbl_mis_with(h, rng, &SblConfig::default())
 }
 
-/// Runs SBL with an explicit configuration on the default (flat) engine.
+/// Runs SBL with an explicit configuration.
 pub fn sbl_mis_with<R: Rng + ?Sized>(
     h: &Hypergraph,
     rng: &mut R,
     config: &SblConfig,
 ) -> SblOutcome {
-    sbl_mis_with_engine::<ActiveHypergraph, R>(h, rng, config)
+    sbl_mis_in(h, rng, config, &mut Workspace::new())
 }
 
 /// Runs SBL with a caller-owned [`Workspace`], reusing its buffers and
@@ -135,50 +136,28 @@ pub fn sbl_mis_in<R: Rng + ?Sized>(
     config: &SblConfig,
     ws: &mut Workspace,
 ) -> SblOutcome {
-    sbl_mis_with_engine_in::<ActiveHypergraph, R>(h, rng, config, ws)
-}
-
-/// Runs SBL with an explicit configuration and an explicit [`ActiveEngine`]
-/// (used by the differential suites and the bench regression guard). The RNG
-/// consumption order depends only on the engine-observable state (alive
-/// vertices ascending, live edges in arrival order), so two correct engines
-/// produce identical outcomes for the same seed. Thin wrapper owning a fresh
-/// workspace.
-pub fn sbl_mis_with_engine<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
-    h: &Hypergraph,
-    rng: &mut R,
-    config: &SblConfig,
-) -> SblOutcome {
-    sbl_mis_with_engine_in::<E, R>(h, rng, config, &mut Workspace::new())
-}
-
-/// Engine-generic, workspace-reusing SBL entry point.
-pub fn sbl_mis_with_engine_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
-    h: &Hypergraph,
-    rng: &mut R,
-    config: &SblConfig,
-    ws: &mut Workspace,
-) -> SblOutcome {
-    let mut active: E = match ws.take_any::<E>("mis.sbl.engine") {
-        Some(mut engine) => {
-            engine.reset_from(h);
-            engine
+    let mut cost = CostTracker::new();
+    let (independent_set, trace, params) =
+        on_parked_engine(h, "mis.sbl.engine", ws, |active, ws| {
+            sbl_on_active_in(active, rng, config, &mut cost, ws)
+        });
+    // Every vertex ends up decided: blue iff it joined the set.
+    let mut coloring = Coloring::new(h.n_vertices());
+    let mut blues = independent_set.iter().peekable();
+    for v in 0..h.n_vertices() as VertexId {
+        if blues.next_if_eq(&&v).is_some() {
+            coloring.set_blue(v);
+        } else {
+            coloring.set_red(v);
         }
-        None => E::from_hypergraph(h),
-    };
-    // The sub-engine slot is taken lazily at first induce (inside
-    // `sbl_run`): a solve that never reaches the sampling loop (direct BL,
-    // or the tail threshold already covers the instance) must not probe the
-    // pool for a slot it never fills — that probe would count as a fresh
-    // allocation on every such solve and break the zero-reallocation
-    // contract.
-    let mut sub_slot: Option<E> = None;
-    let outcome = sbl_run(h, rng, config, ws, &mut active, &mut sub_slot);
-    ws.put_any("mis.sbl.engine", active);
-    if let Some(sub) = sub_slot {
-        ws.put_any("mis.sbl.sub", sub);
     }
-    outcome
+    SblOutcome {
+        independent_set,
+        coloring,
+        trace,
+        cost,
+        params,
+    }
 }
 
 /// Runs SBL through the **rebuild pipeline**: the pre-workspace execution
@@ -208,19 +187,6 @@ pub fn sbl_mis_rebuild<R: Rng + ?Sized>(
     rng: &mut R,
     config: &SblConfig,
 ) -> SblOutcome {
-    sbl_mis_rebuild_with_engine::<ActiveHypergraph, R>(h, rng, config)
-}
-
-/// Engine-generic [`sbl_mis_rebuild`] (the pre-workspace pipeline).
-pub fn sbl_mis_rebuild_with_engine<E: ActiveEngine, R: Rng + ?Sized>(
-    h: &Hypergraph,
-    rng: &mut R,
-    config: &SblConfig,
-) -> SblOutcome {
-    use crate::bl::bl_on_active;
-    use crate::greedy::greedy_on_active;
-    use crate::kuw::kuw_on_active;
-
     let n = h.n_vertices();
     let params = SblParams::practical_default(n.max(2));
     let p = config.p.unwrap_or(params.p).clamp(1e-9, 1.0);
@@ -242,10 +208,16 @@ pub fn sbl_mis_rebuild_with_engine<E: ActiveEngine, R: Rng + ?Sized>(
     let mut coloring = Coloring::new(n);
     let mut independent_set: Vec<VertexId> = Vec::new();
     let mut trace = SblTrace::default();
-    let mut active = E::from_hypergraph(h);
+    let mut active = ActiveHypergraph::from_hypergraph(h);
 
     if h.dimension() <= dimension_cap {
-        let (added, bl_trace) = bl_on_active(&mut active, rng, &config.bl, &mut cost);
+        let (added, bl_trace) = bl_on_active_in(
+            &mut active,
+            rng,
+            &config.bl,
+            &mut cost,
+            &mut Workspace::new(),
+        );
         for &v in &added {
             coloring.set_blue(v);
         }
@@ -324,7 +296,8 @@ pub fn sbl_mis_rebuild_with_engine<E: ActiveEngine, R: Rng + ?Sized>(
         let mut sub = sub;
         let sample_dimension = sub.dimension();
         let sample_edges = sub.n_live_edges();
-        let (blues, bl_trace) = bl_on_active(&mut sub, rng, &config.bl, &mut cost);
+        let (blues, bl_trace) =
+            bl_on_active_in(&mut sub, rng, &config.bl, &mut cost, &mut Workspace::new());
 
         for &v in &blues {
             blue_flags[v as usize] = true;
@@ -376,9 +349,10 @@ pub fn sbl_mis_rebuild_with_engine<E: ActiveEngine, R: Rng + ?Sized>(
     let tail_vertices = active.n_alive();
     if tail_vertices > 0 {
         let added = match config.tail {
-            TailChoice::Greedy => greedy_on_active(&active, &mut cost),
+            TailChoice::Greedy => greedy_on_active_in(&active, &mut cost, &mut Workspace::new()),
             TailChoice::Kuw => {
-                let (added, kuw_trace) = kuw_on_active(&mut active, rng, &mut cost);
+                let (added, kuw_trace) =
+                    kuw_on_active_in(&mut active, rng, &mut cost, &mut Workspace::new());
                 let _ = kuw_trace;
                 added
             }
@@ -417,16 +391,28 @@ pub fn sbl_mis_rebuild_with_engine<E: ActiveEngine, R: Rng + ?Sized>(
     }
 }
 
-/// The SBL body, operating on a caller-provided engine and sub-engine slot.
-fn sbl_run<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
-    h: &Hypergraph,
+/// Runs SBL on an [`ActiveEngine`] in place, deciding every alive vertex —
+/// the body of every SBL solve ([`sbl_mis_in`] on a parked engine, the
+/// serving layer on induced sub-engines). `n`, `m` and the dimension are
+/// those of the engine's alive part, so an induced sub-engine over a large
+/// id space resolves the same parameters as its compacted instance.
+///
+/// Returns the independent set (sorted, global ids), the round trace and
+/// the parameters the run resolved; costs are recorded into `cost`. The
+/// sampled sub-engine is parked in `ws` between solves. The RNG
+/// consumption order depends only on the engine-observable state (alive
+/// vertices ascending, live edges in arrival order), so two correct engines
+/// produce identical outcomes for the same seed.
+pub fn sbl_on_active_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
+    active: &mut E,
     rng: &mut R,
     config: &SblConfig,
+    cost: &mut CostTracker,
     ws: &mut Workspace,
-    active: &mut E,
-    sub_slot: &mut Option<E>,
-) -> SblOutcome {
-    let n = h.n_vertices();
+) -> (Vec<VertexId>, SblTrace, ResolvedParams) {
+    let n = active.n_alive();
+    let m = active.n_live_edges();
+    let dimension = active.dimension();
     let params = SblParams::practical_default(n.max(2));
     let p = config.p.unwrap_or(params.p).clamp(1e-9, 1.0);
     let dimension_cap = config
@@ -443,24 +429,12 @@ fn sbl_run<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
         tail_threshold,
     };
 
-    let mut cost = CostTracker::new();
-    let mut coloring = Coloring::new(n);
-    let mut independent_set: Vec<VertexId> = Vec::new();
     let mut trace = SblTrace::default();
 
     // Line 3 / 26 of Algorithm 1: if every edge is already within the
     // dimension cap, a single BL call suffices.
-    if h.dimension() <= dimension_cap {
-        let (added, bl_trace) = bl_on_active_in(active, rng, &config.bl, &mut cost, ws);
-        for &v in &added {
-            coloring.set_blue(v);
-        }
-        for v in 0..n as VertexId {
-            if !added.contains(&v) {
-                coloring.set_red(v);
-            }
-        }
-        independent_set = added;
+    if dimension <= dimension_cap {
+        let (added, bl_trace) = bl_on_active_in(active, rng, &config.bl, cost, ws);
         trace.direct_bl = true;
         trace.tail = TailAlgorithm::None;
         // Record the single BL call as one round so round counts stay
@@ -468,25 +442,27 @@ fn sbl_run<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
         trace.rounds.push(SblRoundStats {
             round: 0,
             n_alive: n,
-            m: h.n_edges(),
+            m,
             p: 1.0,
             sampled: n,
-            sample_dimension: h.dimension(),
+            sample_dimension: dimension,
             dimension_failures: 0,
-            sample_edges: h.n_edges(),
-            added: independent_set.len(),
-            rejected: n - independent_set.len(),
-            edges_discarded: h.n_edges(),
+            sample_edges: m,
+            added: added.len(),
+            rejected: n - added.len(),
+            edges_discarded: m,
             bl_stages: bl_trace.n_stages(),
         });
-        return SblOutcome {
-            independent_set,
-            coloring,
-            trace,
-            cost,
-            params: resolved,
-        };
+        return (added, trace, resolved);
     }
+
+    // The sub-engine slot is taken lazily at first induce: a solve that
+    // never reaches an induce (the tail threshold already covers the
+    // instance) must not probe the pool for a slot it never fills — that
+    // probe would count as a fresh allocation on every such solve and break
+    // the zero-reallocation contract.
+    let mut sub_slot: Option<E> = None;
+    let mut independent_set: Vec<VertexId> = Vec::new();
 
     // Main sampling loop (lines 4–22). The per-round flag buffers are reused
     // across rounds (and, through the workspace, across runs) and cleared
@@ -530,7 +506,7 @@ fn sbl_run<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
                 }
             }
             cost.record(Cost::parallel_step(n_alive as u64));
-            let sub: &E = match sub_slot {
+            let sub: &E = match &mut sub_slot {
                 Some(sub) => {
                     active.induced_by_into(&marked, &sampled, sub);
                     sub
@@ -538,7 +514,7 @@ fn sbl_run<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
                 None => {
                     // First induce of this solve: recycle a parked sub-engine
                     // from the workspace if one exists, else build fresh.
-                    *sub_slot = Some(match ws.take_any::<E>("mis.sbl.sub") {
+                    sub_slot = Some(match ws.take_any::<E>("mis.sbl.sub") {
                         Some(mut sub) => {
                             active.induced_by_into(&marked, &sampled, &mut sub);
                             sub
@@ -573,18 +549,16 @@ fn sbl_run<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
         let sample_dimension = sub.dimension();
         let sample_edges = sub.n_live_edges();
         let (blues, bl_trace) =
-            bl_on_active_scratch(sub, rng, &config.bl, &mut cost, ws, &mut bl_scratch);
+            bl_on_active_scratch(sub, rng, &config.bl, cost, ws, &mut bl_scratch);
 
         // Permanent coloring of V' (invariant of line 5).
         for &v in &blues {
             blue_flags[v as usize] = true;
-            coloring.set_blue(v);
         }
         reds.clear();
         for &v in &sampled {
             if !blue_flags[v as usize] {
                 red_flags[v as usize] = true;
-                coloring.set_red(v);
                 reds.push(v);
             }
         }
@@ -637,51 +611,28 @@ fn sbl_run<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
 
     // Tail (line 23): finish the residual instance.
     let tail_vertices = active.n_alive();
+    trace.tail = TailAlgorithm::None;
     if tail_vertices > 0 {
         let added = match config.tail {
-            TailChoice::Greedy => greedy_on_active_in(active, &mut cost, ws),
+            TailChoice::Greedy => {
+                trace.tail = TailAlgorithm::Greedy;
+                greedy_on_active_in(active, cost, ws)
+            }
             TailChoice::Kuw => {
-                let (added, kuw_trace) = kuw_on_active_in(active, rng, &mut cost, ws);
-                let _ = kuw_trace;
-                added
+                trace.tail = TailAlgorithm::Kuw;
+                kuw_on_active_in(active, rng, cost, ws).0
             }
         };
-        trace.tail = match config.tail {
-            TailChoice::Greedy => TailAlgorithm::Greedy,
-            TailChoice::Kuw => TailAlgorithm::Kuw,
-        };
-        for &v in &added {
-            coloring.set_blue(v);
-        }
-        for v in 0..n as VertexId {
-            if coloring.get(v) == crate::coloring::Color::Undecided {
-                coloring.set_red(v);
-            }
-        }
         independent_set.extend(added);
-    } else {
-        trace.tail = TailAlgorithm::None;
-        // Any vertex never sampled and never decided is impossible here
-        // (n_alive == 0), but the coloring may still contain undecided slots
-        // when the id space had vertices that were killed as part of BL's
-        // internal cleanup; mark them red for completeness.
-        for v in 0..n as VertexId {
-            if coloring.get(v) == crate::coloring::Color::Undecided {
-                coloring.set_red(v);
-            }
-        }
     }
     trace.tail_vertices = tail_vertices;
+    if let Some(sub) = sub_slot {
+        ws.put_any("mis.sbl.sub", sub);
+    }
 
     independent_set.sort_unstable();
     independent_set.dedup();
-    SblOutcome {
-        independent_set,
-        coloring,
-        trace,
-        cost,
-        params: resolved,
-    }
+    (independent_set, trace, resolved)
 }
 
 #[cfg(test)]

@@ -1947,12 +1947,12 @@ fn solve_full(
 }
 
 /// An induced query: derive the sub-instance through the resident engine's
-/// incidence into a shard-local engine slot, then solve it.
-///
-/// BL/KUW/greedy run directly on the sub-engine (their `*_on_active_in`
-/// paths). SBL/permutation/linear have no on-engine entry point, so the
-/// sub-instance is compacted to a standalone hypergraph and the answer is
-/// mapped back to original ids — deterministic either way.
+/// incidence into a shard-local engine slot, then run the algorithm's
+/// `*_on_active_in` body on it in place. The sub-engine keeps the resident
+/// graph's ids; the bodies size their scratch by the sub-instance or take
+/// id-space buffers without re-zeroing them, so a small query does not pay
+/// for the resident graph's id space. Each answer equals the one the
+/// algorithm gives on the compacted instance, mapped back to original ids.
 fn solve_induced(
     parent: &ActiveHypergraph,
     vertices: &[VertexId],
@@ -2006,11 +2006,11 @@ fn solve_induced(
     let mut cost = CostTracker::new();
     let out = match algorithm {
         Algorithm::Bl(cfg) => {
-            let (set, trace) = mis_core::bl::bl_on_active_in(&mut sub, rng, cfg, &mut cost, ws);
+            let (set, trace) = bl_on_active_in(&mut sub, rng, cfg, &mut cost, ws);
             outcome(seed, set, SolveTrace::Bl(trace), &cost)
         }
         Algorithm::Kuw => {
-            let (set, trace) = mis_core::kuw::kuw_on_active_in(&mut sub, rng, &mut cost, ws);
+            let (set, trace) = kuw_on_active_in(&mut sub, rng, &mut cost, ws);
             outcome(seed, set, SolveTrace::Kuw(trace), &cost)
         }
         Algorithm::Greedy => {
@@ -2018,49 +2018,20 @@ fn solve_induced(
             outcome(seed, set, SolveTrace::Greedy, &cost)
         }
         Algorithm::Sbl(cfg) => {
-            let (hc, map) = sub.compact();
-            let o = sbl_mis_in(&hc, rng, cfg, ws);
-            outcome(
-                seed,
-                map_back(&o.independent_set, &map),
-                SolveTrace::Sbl(o.trace),
-                &o.cost,
-            )
+            let (set, trace, _) = sbl_on_active_in(&mut sub, rng, cfg, &mut cost, ws);
+            outcome(seed, set, SolveTrace::Sbl(trace), &cost)
         }
         Algorithm::Permutation => {
-            let (hc, map) = sub.compact();
-            let o = permutation_mis_in(&hc, rng, ws);
-            let permutation = o.permutation.iter().map(|&v| map[v as usize]).collect();
-            outcome(
-                seed,
-                map_back(&o.independent_set, &map),
-                SolveTrace::Permutation(permutation),
-                &o.cost,
-            )
+            let (set, permutation) = permutation_on_active_in(&sub, rng, &mut cost, ws);
+            outcome(seed, set, SolveTrace::Permutation(permutation), &cost)
         }
-        Algorithm::Linear => {
-            let (hc, map) = sub.compact();
-            match linear_mis_in(&hc, rng, ws) {
-                Ok(o) => outcome(
-                    seed,
-                    map_back(&o.independent_set, &map),
-                    SolveTrace::Linear(o.trace),
-                    &o.cost,
-                ),
-                Err(e) => failed(seed, SolveError::NotLinear(e)),
-            }
-        }
+        Algorithm::Linear => match linear_on_active_in(&mut sub, rng, &mut cost, ws) {
+            Ok((set, trace)) => outcome(seed, set, SolveTrace::Linear(trace), &cost),
+            Err(e) => failed(seed, SolveError::NotLinear(e)),
+        },
     };
     ws.put_any("serve.sub", sub);
     out
-}
-
-/// Maps a sorted compact-id set back to original ids. `map` (new → old) is
-/// ascending by construction of `compact`, so order is preserved.
-fn map_back(set: &[VertexId], map: &[VertexId]) -> Vec<VertexId> {
-    let mapped: Vec<VertexId> = set.iter().map(|&v| map[v as usize]).collect();
-    debug_assert!(mapped.windows(2).all(|w| w[0] < w[1]));
-    mapped
 }
 
 /// Configuration of a [`ShardedRunner`].
@@ -3057,5 +3028,196 @@ mod tests {
         let id = reg.open_mapped(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         let _ = reg.latest(id);
+    }
+
+    /// The oracle for [`solve_induced`]: BL, KUW and greedy on the
+    /// sub-engine; SBL, permutation and linear on the sub-instance compacted
+    /// to a standalone hypergraph, solved by `*_mis_in` and mapped back to
+    /// original ids. Queries must be valid (in range, duplicate-free).
+    fn solve_induced_compacted(
+        parent: &ActiveHypergraph,
+        vertices: &[VertexId],
+        algorithm: &Algorithm,
+        seed: u64,
+        ws: &mut Workspace,
+    ) -> SolveOutcome {
+        let rng = &mut ChaCha8Rng::seed_from_u64(seed);
+        let mut marked = vec![false; parent.id_space()];
+        for &v in vertices {
+            marked[v as usize] = true;
+        }
+        let mut sub = parent.induced_by(&marked);
+        let mut cost = CostTracker::new();
+        match algorithm {
+            Algorithm::Bl(cfg) => {
+                let (set, trace) = bl_on_active_in(&mut sub, rng, cfg, &mut cost, ws);
+                outcome(seed, set, SolveTrace::Bl(trace), &cost)
+            }
+            Algorithm::Kuw => {
+                let (set, trace) = kuw_on_active_in(&mut sub, rng, &mut cost, ws);
+                outcome(seed, set, SolveTrace::Kuw(trace), &cost)
+            }
+            Algorithm::Greedy => {
+                let set = greedy_on_active_in(&sub, &mut cost, ws);
+                outcome(seed, set, SolveTrace::Greedy, &cost)
+            }
+            Algorithm::Sbl(cfg) => {
+                let (hc, map) = sub.compact();
+                let o = sbl_mis_in(&hc, rng, cfg, ws);
+                outcome(
+                    seed,
+                    map_back(&o.independent_set, &map),
+                    SolveTrace::Sbl(o.trace),
+                    &o.cost,
+                )
+            }
+            Algorithm::Permutation => {
+                let (hc, map) = sub.compact();
+                let o = permutation_mis_in(&hc, rng, ws);
+                let permutation = o.permutation.iter().map(|&v| map[v as usize]).collect();
+                outcome(
+                    seed,
+                    map_back(&o.independent_set, &map),
+                    SolveTrace::Permutation(permutation),
+                    &o.cost,
+                )
+            }
+            Algorithm::Linear => {
+                let (hc, map) = sub.compact();
+                match linear_mis_in(&hc, rng, ws) {
+                    Ok(o) => outcome(
+                        seed,
+                        map_back(&o.independent_set, &map),
+                        SolveTrace::Linear(o.trace),
+                        &o.cost,
+                    ),
+                    Err(e) => failed(seed, SolveError::NotLinear(e)),
+                }
+            }
+        }
+    }
+
+    /// Maps a sorted compact-id set back to original ids. `map` (new → old)
+    /// is ascending by construction of `compact`, so order is preserved.
+    fn map_back(set: &[VertexId], map: &[VertexId]) -> Vec<VertexId> {
+        let mapped: Vec<VertexId> = set.iter().map(|&v| map[v as usize]).collect();
+        debug_assert!(mapped.windows(2).all(|w| w[0] < w[1]));
+        mapped
+    }
+
+    /// A resident graph of family `kind`:
+    /// 0. paper_regime with edges above the SBL dimension cap (3), large
+    ///    enough that SBL's default parameters sample;
+    /// 1. 3-uniform, so SBL delegates to one BL call;
+    /// 2. linear;
+    /// 3. mixed dimension, almost surely non-linear (`NotLinear` indices);
+    /// 4. duplicate edges and singletons: a 3-uniform graph whose edges
+    ///    were trimmed by a random vertex set, then compacted;
+    /// 5. singleton edges next to pairs and triples.
+    fn oracle_graph(kind: u8, seed: u64) -> Hypergraph {
+        use hypergraph::generate;
+        let r = &mut ChaCha8Rng::seed_from_u64(seed);
+        match kind {
+            0 => generate::paper_regime(r, 480, 60, 7),
+            1 => generate::d_uniform(r, 90, 180, 3),
+            2 => generate::linear(r, 90, 40, 3),
+            3 => generate::mixed_dimension(r, 70, 120, &[2, 3, 4]),
+            4 => {
+                let h = generate::d_uniform(r, 40, 90, 3);
+                let trim = generate::random_subset(r, 40, 12);
+                let mut flags = vec![false; 40];
+                for &v in &trim {
+                    flags[v as usize] = true;
+                }
+                let mut engine = ActiveHypergraph::from_hypergraph(&h);
+                engine.shrink_edges_by(&flags, &trim);
+                engine.compact().0
+            }
+            _ => {
+                let mut edges: Vec<Vec<VertexId>> = (0..8).map(|v| vec![v * 5]).collect();
+                edges.extend(generate::d_uniform(r, 60, 50, 2).edges_owned());
+                edges.extend(generate::d_uniform(r, 60, 40, 3).edges_owned());
+                hypergraph_from_edges(60, edges)
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Every algorithm's engine body answers an induced query exactly as
+        /// the compacting path does, fingerprint for fingerprint: empty,
+        /// one-vertex, random and whole-vertex-set queries, against the
+        /// registered epoch or a mutated one.
+        #[test]
+        fn induced_engine_path_matches_the_compacting_oracle(
+            kind in 0u8..6,
+            graph_seed in proptest::prelude::any::<u64>(),
+            query_seed in proptest::prelude::any::<u64>(),
+            query_kind in 0u8..4,
+            mutated in proptest::prelude::any::<bool>(),
+        ) {
+            use rand::seq::SliceRandom;
+            use rand::Rng;
+
+            let h = oracle_graph(kind, graph_seed);
+            let n = h.n_vertices() as VertexId;
+            let mut edits = vec![
+                GraphEdit::GrowVertices(2),
+                GraphEdit::AddEdge(vec![n, n + 1]),
+                GraphEdit::AddEdge(vec![0, n]),
+            ];
+            if h.n_edges() > 0 {
+                edits.push(GraphEdit::RemoveEdge(h.edge(0).to_vec()));
+            }
+            let mut reg = ResidentRegistry::new();
+            let id = reg.register(h);
+            reg.apply(id, &edits).unwrap();
+            let snap = reg.lookup(id, EpochPin::At(Epoch(u64::from(mutated)))).unwrap();
+            let parent = snap.engine();
+
+            let r = &mut ChaCha8Rng::seed_from_u64(query_seed);
+            let id_space = parent.id_space();
+            let mut query = match query_kind {
+                0 => Vec::new(),
+                1 => vec![r.gen_range(0..id_space as VertexId)],
+                2 => {
+                    let k = r.gen_range(0..=id_space);
+                    hypergraph::generate::random_subset(r, id_space, k)
+                }
+                _ => (0..id_space as VertexId).collect(),
+            };
+            query.shuffle(r);
+
+            // A tail threshold of 4 makes SBL sample small instances too,
+            // with `p` resolved from the alive count or forced high enough
+            // to trip the dimension check and resample.
+            let small_tail = SblConfig {
+                tail_threshold: Some(4),
+                ..SblConfig::default()
+            };
+            let resampling = SblConfig {
+                p: Some(0.4),
+                ..small_tail.clone()
+            };
+            let algorithms = [
+                Algorithm::Sbl(SblConfig::default()),
+                Algorithm::Sbl(small_tail),
+                Algorithm::Sbl(resampling),
+                Algorithm::Bl(BlConfig::default()),
+                Algorithm::Kuw,
+                Algorithm::Greedy,
+                Algorithm::Permutation,
+                Algorithm::Linear,
+            ];
+            let (mut ws, mut oracle_ws) = (Workspace::new(), Workspace::new());
+            for algorithm in &algorithms {
+                let seed = rand::RngCore::next_u64(r);
+                let rng = &mut ChaCha8Rng::seed_from_u64(seed);
+                let got = solve_induced(parent, &query, algorithm, seed, rng, &mut ws);
+                let want = solve_induced_compacted(parent, &query, algorithm, seed, &mut oracle_ws);
+                proptest::prop_assert_eq!(got.fingerprint(), want.fingerprint());
+            }
+        }
     }
 }

@@ -158,54 +158,57 @@ fn check_all_algorithms_on_both_engines(h: &Hypergraph, seed: u64, family: &str)
     use hypergraph::{ActiveHypergraph, ReferenceActiveHypergraph};
 
     check_all_algorithms(h, seed, family);
-
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let flat = sbl_mis_with_engine::<ActiveHypergraph, _>(h, &mut rng, &SblConfig::default());
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let reference =
-        sbl_mis_with_engine::<ReferenceActiveHypergraph, _>(h, &mut rng, &SblConfig::default());
+    let (flat, flat_cost) = sets_on_engine::<ActiveHypergraph>(h, seed);
+    let (reference, reference_cost) = sets_on_engine::<ReferenceActiveHypergraph>(h, seed);
+    assert_eq!(flat.len(), reference.len());
+    for (f, r) in flat.iter().zip(&reference) {
+        assert_eq!(f, r, "{family}: {} engines disagree", f.0);
+    }
     assert_eq!(
-        flat.independent_set, reference.independent_set,
-        "{family}: SBL engines disagree"
+        flat_cost, reference_cost,
+        "{family}: engines disagree on costs"
     );
-    assert_eq!(
-        flat.coloring.blues(),
-        reference.coloring.blues(),
-        "{family}: SBL colorings disagree"
-    );
+}
 
+/// Summed `(work, depth, rounds)`.
+#[cfg(feature = "reference-engine")]
+type CostTotals = (u64, u64, u64);
+
+/// Every algorithm's `*_on_active_in` body on a fresh engine of type `E`
+/// built from `h`, all through one workspace: `(algorithm, set)` pairs and
+/// the summed `(work, depth, rounds)`. BL is skipped above dimension 10
+/// (where its marking probability vanishes) and linear where it does not
+/// apply.
+#[cfg(feature = "reference-engine")]
+fn sets_on_engine<E: hypergraph::ActiveEngine + Send + 'static>(
+    h: &Hypergraph,
+    seed: u64,
+) -> (Vec<(&'static str, Vec<u32>)>, CostTotals) {
+    let mut ws = Workspace::new();
+    let rng = |salt: u64| ChaCha8Rng::seed_from_u64(seed ^ salt);
+    let engine = || E::from_hypergraph(h);
+    let mut cost = CostTracker::new();
+    let mut sets = Vec::new();
+    let sbl_cfg = SblConfig::default();
+    let (set, ..) = sbl_on_active_in(&mut engine(), &mut rng(0), &sbl_cfg, &mut cost, &mut ws);
+    sets.push(("SBL", set));
     if h.dimension() <= 10 {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xB1);
-        let flat = bl_mis_with_engine::<ActiveHypergraph, _>(h, &mut rng, &BlConfig::default());
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xB1);
-        let reference =
-            bl_mis_with_engine::<ReferenceActiveHypergraph, _>(h, &mut rng, &BlConfig::default());
-        assert_eq!(
-            flat.independent_set, reference.independent_set,
-            "{family}: BL engines disagree"
-        );
+        let bl_cfg = BlConfig::default();
+        let (set, _) = bl_on_active_in(&mut engine(), &mut rng(0xB1), &bl_cfg, &mut cost, &mut ws);
+        sets.push(("BL", set));
     }
-
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xD2);
-    let flat = kuw_mis_with_engine::<ActiveHypergraph, _>(h, &mut rng);
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xD2);
-    let reference = kuw_mis_with_engine::<ReferenceActiveHypergraph, _>(h, &mut rng);
-    assert_eq!(
-        flat.independent_set, reference.independent_set,
-        "{family}: KUW engines disagree"
-    );
-
+    let (set, _) = kuw_on_active_in(&mut engine(), &mut rng(0xD2), &mut cost, &mut ws);
+    sets.push(("KUW", set));
     if check_linear(h).is_ok() {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x11);
-        let flat = linear_mis_with_engine::<ActiveHypergraph, _>(h, &mut rng).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x11);
-        let reference =
-            linear_mis_with_engine::<ReferenceActiveHypergraph, _>(h, &mut rng).unwrap();
-        assert_eq!(
-            flat.independent_set, reference.independent_set,
-            "{family}: linear engines disagree"
-        );
+        let (set, _) =
+            linear_on_active_in(&mut engine(), &mut rng(0x11), &mut cost, &mut ws).unwrap();
+        sets.push(("linear", set));
     }
+    sets.push(("greedy", greedy_on_active_in(&engine(), &mut cost, &mut ws)));
+    let (set, _) = permutation_on_active_in(&engine(), &mut rng(0x9E), &mut cost, &mut ws);
+    sets.push(("permutation", set));
+    let c = cost.cost();
+    (sets, (c.work, c.depth, cost.rounds()))
 }
 
 /// Adversarial families: shapes chosen to stress the trimming, domination,

@@ -106,6 +106,81 @@ proptest! {
     }
 }
 
+/// A graph for the greedy sweep oracle: family `kind` on `n` vertices.
+fn sweep_graph(kind: u8, n: usize, seed: u64) -> Hypergraph {
+    let r = &mut ChaCha8Rng::seed_from_u64(seed);
+    match kind {
+        0 => generate::d_uniform(r, n, 2 * n, 3),
+        1 => generate::paper_regime(r, n, n / 4, 8),
+        2 => generate::linear(r, n, n / 3, 3),
+        _ => generate::mixed_dimension(r, n, n, &[1, 2, 3, 5]),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Greedy over an engine rebuilds its incidence by rank in the alive
+    /// list; it must still equal `greedy_mis` scanning the same order, in
+    /// set, work, depth and rounds: on the full engine (ascending, and a
+    /// permutation's order) and on induced sub-engines against their
+    /// compacted instance with the order mapped to compact ids. One
+    /// workspace serves every call, so stale rank entries are in play.
+    #[test]
+    fn greedy_sweep_matches_greedy_mis(
+        kind in 0u8..4,
+        small in 8usize..64,
+        large in 1024usize..4096,
+        pick_large in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let n = if pick_large { large } else { small };
+        let h = sweep_graph(kind, n, seed);
+        let totals = |set: &[u32], cost: &CostTracker| {
+            (set.to_vec(), cost.cost().work, cost.cost().depth, cost.rounds())
+        };
+        let mut ws = Workspace::new();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5EE9);
+        let full = ActiveHypergraph::from_hypergraph(&h);
+
+        let mut cost = CostTracker::new();
+        let set = greedy_on_active_in(&full, &mut cost, &mut ws);
+        let want = greedy_mis(&h, None);
+        prop_assert_eq!(totals(&set, &cost), totals(&want.independent_set, &want.cost));
+        let mut cost = CostTracker::new();
+        let (set, order) = permutation_on_active_in(&full, &mut rng, &mut cost, &mut ws);
+        let want = greedy_mis(&h, Some(&order));
+        prop_assert_eq!(totals(&set, &cost), totals(&want.independent_set, &want.cost));
+
+        let mut sub = ActiveHypergraph::from_parts(Vec::new(), Vec::new());
+        let mut marked = vec![false; n];
+        for _ in 0..4 {
+            let k = rand::Rng::gen_range(&mut rng, 1..=n);
+            let query = generate::random_subset(&mut rng, n, k);
+            for &v in &query {
+                marked[v as usize] = true;
+            }
+            full.induced_by_into(&marked, &query, &mut sub);
+            for &v in &query {
+                marked[v as usize] = false;
+            }
+            let (hc, map) = sub.compact();
+            let to_old = |set: &[u32]| set.iter().map(|&v| map[v as usize]).collect::<Vec<u32>>();
+
+            let mut cost = CostTracker::new();
+            let set = greedy_on_active_in(&sub, &mut cost, &mut ws);
+            let want = greedy_mis(&hc, None);
+            prop_assert_eq!(totals(&set, &cost), totals(&to_old(&want.independent_set), &want.cost));
+            let mut cost = CostTracker::new();
+            let (set, order) = permutation_on_active_in(&sub, &mut rng, &mut cost, &mut ws);
+            let compact_order: Vec<u32> =
+                order.iter().map(|v| map.binary_search(v).unwrap() as u32).collect();
+            let want = greedy_mis(&hc, Some(&compact_order));
+            prop_assert_eq!(totals(&set, &cost), totals(&to_old(&want.independent_set), &want.cost));
+        }
+    }
+}
+
 /// Flat-vs-reference engine agreement, compiled only with the
 /// `reference-engine` feature (on by default; the flat-engine-only
 /// production configuration skips it).
@@ -117,76 +192,83 @@ mod engine_agreement {
         #![proptest_config(ProptestConfig::with_cases(40))]
 
         /// The flat engine and the reference engine make the *same decisions*:
-        /// every algorithm, driven by the same seed, returns the identical
-        /// independent set, coloring, trace and cost totals on both engines.
+        /// every algorithm's engine body, driven by the same seed, returns the
+        /// identical independent set, trace and cost totals on both engines.
         #[test]
         fn engines_agree_on_every_algorithm((h, seed) in instance()) {
             use hypergraph::{ActiveHypergraph, ReferenceActiveHypergraph};
 
-            let fingerprint = |set: &[u32], cost: &CostTracker| {
-                (set.to_vec(), cost.cost().work, cost.cost().depth, cost.rounds())
-            };
-
-            // SBL: set + coloring + full trace + cost.
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let flat = sbl_mis_with_engine::<ActiveHypergraph, _>(&h, &mut rng, &SblConfig::default());
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let reference =
-                sbl_mis_with_engine::<ReferenceActiveHypergraph, _>(&h, &mut rng, &SblConfig::default());
-            prop_assert_eq!(
-                fingerprint(&flat.independent_set, &flat.cost),
-                fingerprint(&reference.independent_set, &reference.cost)
-            );
-            prop_assert_eq!(flat.coloring.blues(), reference.coloring.blues());
-            prop_assert_eq!(flat.coloring.reds(), reference.coloring.reds());
-            prop_assert_eq!(format!("{:?}", flat.trace), format!("{:?}", reference.trace));
-            prop_assert_eq!(verify_mis(&h, &flat.independent_set), Ok(()));
-
-            // BL.
-            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xB1);
-            let flat = bl_mis_with_engine::<ActiveHypergraph, _>(&h, &mut rng, &BlConfig::default());
-            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xB1);
-            let reference =
-                bl_mis_with_engine::<ReferenceActiveHypergraph, _>(&h, &mut rng, &BlConfig::default());
-            prop_assert_eq!(
-                fingerprint(&flat.independent_set, &flat.cost),
-                fingerprint(&reference.independent_set, &reference.cost)
-            );
-            prop_assert_eq!(&flat.trace, &reference.trace);
-
-            // KUW.
-            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xD2);
-            let flat = kuw_mis_with_engine::<ActiveHypergraph, _>(&h, &mut rng);
-            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xD2);
-            let reference = kuw_mis_with_engine::<ReferenceActiveHypergraph, _>(&h, &mut rng);
-            prop_assert_eq!(
-                fingerprint(&flat.independent_set, &flat.cost),
-                fingerprint(&reference.independent_set, &reference.cost)
-            );
-
-            // Linear (where it applies).
-            if check_linear(&h).is_ok() {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x11);
-                let flat = linear_mis_with_engine::<ActiveHypergraph, _>(&h, &mut rng).unwrap();
-                let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x11);
-                let reference =
-                    linear_mis_with_engine::<ReferenceActiveHypergraph, _>(&h, &mut rng).unwrap();
-                prop_assert_eq!(
-                    fingerprint(&flat.independent_set, &flat.cost),
-                    fingerprint(&reference.independent_set, &reference.cost)
-                );
+            let flat = run_bodies::<ActiveHypergraph>(&h, seed);
+            prop_assert_eq!(&flat, &run_bodies::<ReferenceActiveHypergraph>(&h, seed));
+            for (algorithm, set, ..) in &flat {
+                prop_assert!(verify_mis(&h, set).is_ok(), "{} returned no MIS", algorithm);
             }
-
-            // Greedy over the active view.
-            let mut flat_cost = CostTracker::new();
-            let flat_added = greedy_on_active(&ActiveHypergraph::from_hypergraph(&h), &mut flat_cost);
-            let mut ref_cost = CostTracker::new();
-            let ref_added =
-                greedy_on_active(&ReferenceActiveHypergraph::from_hypergraph(&h), &mut ref_cost);
-            prop_assert_eq!(
-                fingerprint(&flat_added, &flat_cost),
-                fingerprint(&ref_added, &ref_cost)
-            );
         }
+    }
+
+    /// One run of every algorithm's `*_on_active_in` body, each on a fresh
+    /// engine of type `E` built from `h` and all through one workspace:
+    /// `(algorithm, set, work, depth, rounds, trace)` per algorithm. Linear
+    /// runs only where it applies; BL sees dimension ≤ 6 by construction of
+    /// the strategy.
+    type BodyRun = (&'static str, Vec<u32>, u64, u64, u64, String);
+
+    fn run_bodies<E: hypergraph::ActiveEngine + Send + 'static>(
+        h: &Hypergraph,
+        seed: u64,
+    ) -> Vec<BodyRun> {
+        let mut ws = Workspace::new();
+        let mut runs = Vec::new();
+        let rng = |salt: u64| ChaCha8Rng::seed_from_u64(seed ^ salt);
+        let mut record = |algorithm, set, cost: CostTracker, trace: String| {
+            runs.push((
+                algorithm,
+                set,
+                cost.cost().work,
+                cost.cost().depth,
+                cost.rounds(),
+                trace,
+            ));
+        };
+
+        let (mut e, mut cost) = (E::from_hypergraph(h), CostTracker::new());
+        let (set, trace, _) = sbl_on_active_in(
+            &mut e,
+            &mut rng(0),
+            &SblConfig::default(),
+            &mut cost,
+            &mut ws,
+        );
+        record("sbl", set, cost, format!("{trace:?}"));
+
+        let (mut e, mut cost) = (E::from_hypergraph(h), CostTracker::new());
+        let (set, trace) = bl_on_active_in(
+            &mut e,
+            &mut rng(0xB1),
+            &BlConfig::default(),
+            &mut cost,
+            &mut ws,
+        );
+        record("bl", set, cost, format!("{trace:?}"));
+
+        let (mut e, mut cost) = (E::from_hypergraph(h), CostTracker::new());
+        let (set, trace) = kuw_on_active_in(&mut e, &mut rng(0xD2), &mut cost, &mut ws);
+        record("kuw", set, cost, format!("{trace:?}"));
+
+        if check_linear(h).is_ok() {
+            let (mut e, mut cost) = (E::from_hypergraph(h), CostTracker::new());
+            let (set, trace) =
+                linear_on_active_in(&mut e, &mut rng(0x11), &mut cost, &mut ws).unwrap();
+            record("linear", set, cost, format!("{trace:?}"));
+        }
+
+        let (e, mut cost) = (E::from_hypergraph(h), CostTracker::new());
+        let set = greedy_on_active_in(&e, &mut cost, &mut ws);
+        record("greedy", set, cost, String::new());
+
+        let (e, mut cost) = (E::from_hypergraph(h), CostTracker::new());
+        let (set, permutation) = permutation_on_active_in(&e, &mut rng(0x9E), &mut cost, &mut ws);
+        record("permutation", set, cost, format!("{permutation:?}"));
+        runs
     }
 }

@@ -899,3 +899,87 @@ proptest! {
         }
     }
 }
+
+/// The twelve empty-instance outcomes — each algorithm on a 0-vertex ad-hoc
+/// graph and on an empty induced query — are pinned whole: no vertex, no
+/// work, no depth, and the rounds each path has always charged. Greedy's
+/// full scan and every permutation scan charge their one round even when
+/// there is nothing to scan; greedy's engine scan returns before charging.
+#[test]
+fn empty_instances_have_pinned_outcomes() {
+    use hypergraph_mis::mis_core::trace::SblRoundStats;
+    use hypergraph_mis::serve::SolveTrace;
+
+    let mut registry = ResidentRegistry::new();
+    let id = registry.register(generate::d_uniform(&mut rng(3), 40, 60, 3));
+    let registry = Arc::new(registry);
+    let empty = Arc::new(hypergraph::builder::hypergraph_from_edges::<Vec<u32>>(
+        0,
+        vec![],
+    ));
+    let sbl_trace = SolveTrace::Sbl(SblTrace {
+        rounds: vec![SblRoundStats {
+            round: 0,
+            n_alive: 0,
+            m: 0,
+            p: 1.0,
+            sampled: 0,
+            sample_dimension: 0,
+            dimension_failures: 0,
+            sample_edges: 0,
+            added: 0,
+            rejected: 0,
+            edges_discarded: 0,
+            bl_stages: 0,
+        }],
+        tail: TailAlgorithm::None,
+        tail_vertices: 0,
+        direct_bl: true,
+    });
+    // (algorithm, trace, rounds ad hoc, rounds induced)
+    let table = [
+        (Algorithm::Sbl(SblConfig::default()), sbl_trace, 0, 0),
+        (
+            Algorithm::Bl(BlConfig::default()),
+            SolveTrace::Bl(BlTrace::default()),
+            0,
+            0,
+        ),
+        (Algorithm::Kuw, SolveTrace::Kuw(KuwTrace::default()), 0, 0),
+        (Algorithm::Greedy, SolveTrace::Greedy, 1, 0),
+        (
+            Algorithm::Permutation,
+            SolveTrace::Permutation(vec![]),
+            1,
+            1,
+        ),
+        (
+            Algorithm::Linear,
+            SolveTrace::Linear(BlTrace::default()),
+            0,
+            0,
+        ),
+    ];
+    let mut runner = BatchRunner::new();
+    for (algorithm, trace, adhoc_rounds, induced_rounds) in table {
+        let adhoc = SolveRequest::adhoc(Arc::clone(&empty))
+            .algorithm(algorithm.clone())
+            .seed(5)
+            .build();
+        let induced = SolveRequest::induced(id, Vec::new())
+            .algorithm(algorithm.clone())
+            .seed(5)
+            .build();
+        let expected = |epoch, rounds| (5, epoch, vec![], 0, 0, rounds, trace.clone(), None);
+        assert_eq!(
+            runner.solve(&registry, &adhoc).fingerprint(),
+            expected(None, adhoc_rounds),
+            "{algorithm:?} ad hoc"
+        );
+        assert_eq!(
+            runner.solve(&registry, &induced).fingerprint(),
+            expected(Some(Epoch(0)), induced_rounds),
+            "{algorithm:?} induced"
+        );
+    }
+}
