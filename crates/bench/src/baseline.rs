@@ -25,9 +25,9 @@
 //! fields carry the regression teeth, the banded fields catch catastrophic
 //! slowdowns.
 //!
-//! The vendored `serde` has no JSON parser, so this module carries a minimal
-//! recursive-descent one — sufficient for the artifacts we emit and strict
-//! enough to reject malformed files loudly.
+//! The build is offline and no vendored crate parses JSON, so this module
+//! carries a minimal recursive-descent parser — sufficient for the artifacts
+//! we emit and strict enough to reject malformed files loudly.
 
 /// A parsed JSON value (numbers are kept as `f64`; the artifacts only emit
 /// integers small enough to round-trip exactly).

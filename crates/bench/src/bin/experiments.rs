@@ -975,8 +975,9 @@ fn serve_experiment(quick: bool) {
 /// resident graph go from a file on disk to its first answered query, per
 /// storage tier?
 ///
-/// Three arms, each timed from cold (registry construction + engine build +
-/// one induced BL query) on the same `uniform_workload` graphs:
+/// Three arms, each timed from cold (registry construction + one induced BL
+/// query, read straight from the registered graph) on the same
+/// `uniform_workload` graphs:
 ///
 /// * `parse_build` — the text format: `read_file` (full parse + validation +
 ///   counting-sort rebuild) then `register`;
@@ -1038,9 +1039,9 @@ fn coldstart_experiment(quick: bool) {
                 .build()
         };
 
-        // One cold run per arm per iteration: file → registry (engine build
-        // included) → first answered query. `min` over iterations, like
-        // every other wall-time in these artifacts.
+        // One cold run per arm per iteration: file → registry → first
+        // answered query. `min` over iterations, like every other wall-time
+        // in these artifacts.
         let mut arm_ms = [f64::INFINITY; 3];
         let mut arm_prints: [Option<SolveFingerprint>; 3] = [None, None, None];
         for _ in 0..iters {
@@ -1189,9 +1190,9 @@ fn coldstart_experiment(quick: bool) {
     let _ = writeln!(
         json,
         "  \"baseline\": \"parse+build from the text snapshot (read_file: full parse, \
-         validation, counting-sort rebuild, then register + engine build)\",\n  \
+         validation, counting-sort rebuild, then register)\",\n  \
          \"candidate\": \"open_mapped on the HGCSR snapshot (checksummed header validation + \
-         zero-copy mmap of the four CSR arrays, engine built over the mapping)\",\n  \
+         zero-copy mmap of the four CSR arrays, queries induced from the mapping)\",\n  \
          \"iters\": {iters},\n  \
          \"largest_workload\": {{\"kind\": \"coldstart\", \"n\": {largest_n}, \
          \"speedup_mapped_vs_parse\": {largest_speedup:.3}}},\n  \
@@ -1472,8 +1473,10 @@ fn fingerprint_hex<T: std::fmt::Debug>(items: &[T]) -> String {
 /// * `query` — the headline: a large hypergraph stays resident and each
 ///   instance is "solve the MIS of the sub-hypergraph induced by this vertex
 ///   subset" (BL on the induced engine). Cold pays the `O(id_space)` +
-///   full-edge-scan derivation per query; amortized derives the sub through
-///   the parent's incidence in `O(|query| + Σ deg)` via `induced_by_into`.
+///   full-edge-scan derivation per query from a prebuilt resident engine;
+///   amortized derives the sub straight from the resident `Hypergraph`'s
+///   incidence in `O(|query| + Σ deg)` via `reset_induced`, the path the
+///   server runs.
 /// * `sbl_stream` — 100 independent full SBL solves, cold vs amortized.
 ///
 /// Asserts that both arms return identical independent sets and identical
@@ -1549,7 +1552,8 @@ fn batch_runner_experiment(quick: bool) {
             }
         }
 
-        // Amortized arm: one engine slot + workspace across the stream.
+        // Amortized arm: one engine slot + workspace across the stream, each
+        // sub read from the graph's CSR as the server does.
         let mut best_amortized = f64::INFINITY;
         let mut amortized_outcomes: Vec<BatchOutcome> = Vec::new();
         let mut warm_allocations = 0u64;
@@ -1561,13 +1565,7 @@ fn batch_runner_experiment(quick: bool) {
                 .iter()
                 .enumerate()
                 .map(|(i, q)| {
-                    for &v in q {
-                        marked[v as usize] = true;
-                    }
-                    resident.induced_by_into(&marked, q, &mut slot);
-                    for &v in q {
-                        marked[v as usize] = false;
-                    }
+                    slot.reset_induced(&base, q);
                     let mut cost = CostTracker::new();
                     let (set, _) = mis_core::bl::bl_on_active_in(
                         &mut slot,
@@ -1584,13 +1582,7 @@ fn batch_runner_experiment(quick: bool) {
             if it == 0 {
                 amortized_outcomes = outs;
                 let before = runner.workspace().fresh_allocations();
-                for &v in &queries[0] {
-                    marked[v as usize] = true;
-                }
-                resident.induced_by_into(&marked, &queries[0], &mut slot);
-                for &v in &queries[0] {
-                    marked[v as usize] = false;
-                }
+                slot.reset_induced(&base, &queries[0]);
                 let mut cost = CostTracker::new();
                 let _ = mis_core::bl::bl_on_active_in(
                     &mut slot,
@@ -1741,7 +1733,7 @@ fn batch_runner_experiment(quick: bool) {
         "  \"baseline\": \"cold solves (rebuild pipeline: fresh engine / allocating induced_by \
          per instance, fresh scratch per subcall)\",\n  \
          \"candidate\": \"BatchRunner (one Workspace amortized across the stream: reset_from / \
-         induced_by_into with compact incidence + pooled scratch)\",\n  \
+         reset_induced with compact incidence + pooled scratch)\",\n  \
          \"iters\": {iters},\n  \
          \"largest_workload\": {{\"kind\": \"query\", \"n\": {largest_n}, \
          \"instances\": {instances}, \"speedup\": {largest_speedup:.3}}},\n  \

@@ -52,12 +52,13 @@
 //! # Lifecycle
 //!
 //! Engines are built once and then *recycled*: [`ActiveHypergraph::reset_from`]
-//! re-initializes an engine to a new instance in place, and
+//! re-initializes an engine to a new instance in place,
 //! [`ActiveHypergraph::induced_by_into`] derives a sampled sub-instance into
-//! an existing engine — deriving a **compact incidence index** from the kept
-//! edges so the sub keeps the incidence-directed trim/discard fast path with
-//! no `O(id_space)` pass. Per-operation scratch lives in an internal
-//! `EngineScratch` cache. See the [`ActiveEngine`] docs for the full
+//! an existing engine, and [`ActiveHypergraph::reset_induced`] derives one
+//! straight from a [`Hypergraph`] — both with a **compact incidence index**
+//! over the kept edges, so the sub keeps the incidence-directed trim/discard
+//! fast path with no `O(id_space)` pass. Per-operation scratch lives in an
+//! internal `EngineScratch` cache. See the [`ActiveEngine`] docs for the full
 //! construct/reset/induce contract.
 //!
 //! # The [`ActiveEngine`] trait and the reference engine
@@ -141,16 +142,17 @@ pub const EDGE_SINGLETON: u8 = 4;
 ///
 /// Engines are plain owned data — [`ActiveHypergraph`] (and the reference
 /// engine) are `Send + Sync`, which the compile-time assertions in this
-/// module pin. The sharded serving layer relies on a sharper property than
-/// the auto-traits alone: the induce path reads the parent engine through
-/// `&self` only ([`induced_by`](Self::induced_by) /
+/// module pin. What the sharded serving layer shares across its N shard
+/// workers is the resident [`Hypergraph`] itself, read-only: each worker
+/// derives a query's sub-instance from the graph's CSR into its own
+/// shard-local engine ([`ActiveHypergraph::reset_induced`]), and every
+/// `&mut self` operation (trim, discard, reset) happens on those
+/// shard-local engines. The induce paths read their parent through `&self`
+/// only ([`induced_by`](Self::induced_by) /
 /// [`induced_by_into`](Self::induced_by_into) never touch hidden shared or
-/// interior-mutable state), so one *resident* engine can be shared read-only
-/// across N shard workers, each deriving sub-instances into its own
-/// shard-local `out` engine concurrently. All `&mut self` operations (trim,
-/// discard, reset) happen on those shard-local engines. Implementations of
-/// this trait must preserve that split: no interior mutability behind the
-/// `&self` methods used for induction.
+/// interior-mutable state), so an engine may equally be shared read-only as
+/// a parent; implementations of this trait must keep that property: no
+/// interior mutability behind the `&self` methods used for induction.
 pub trait ActiveEngine: HypergraphView + Clone {
     /// Creates an active copy of a full hypergraph: every vertex alive, every
     /// edge present.
@@ -385,7 +387,7 @@ impl IncidenceIndex {
 /// results — which is why `Clone` hands the copy empty scratch.
 #[derive(Debug, Default)]
 struct EngineScratch {
-    /// Per-frontier-position hit flags (discard scans, induce keep flags).
+    /// Per-frontier-position hit flags (discard scans).
     hit: Vec<bool>,
     /// Per-frontier-position trimmed lengths (segment trim).
     lens: Vec<u32>,
@@ -1044,22 +1046,6 @@ impl ActiveHypergraph {
     /// (the differential suites pin this); only the allocation behaviour and
     /// the availability of the incidence fast path differ.
     pub fn induced_by_into(&self, marked: &[bool], vs: &[VertexId], out: &mut ActiveHypergraph) {
-        // Unwind out's previous observable state. The alive list is exactly
-        // the set of V_ALIVE entries (engine invariant), so this is
-        // O(previous sub size), not O(id_space).
-        for &v in &out.alive_list {
-            out.status[v as usize] = V_DEAD;
-        }
-        out.alive_list.clear();
-        out.id_space = self.id_space;
-        out.status.resize(self.id_space, V_DEAD);
-        // Stale stamps are <= out's epoch and readers bump before stamping.
-        out.stamp.resize(self.id_space, 0);
-
-        // Alive set of the sub-instance: marked ∩ alive, ascending — derived
-        // from `vs` in O(|vs|) (O(|vs| log |vs|) if the caller passed it
-        // unsorted) instead of scanning the parent's whole alive list; for
-        // SBL's samples `|vs| ≪ n_alive`.
         debug_assert!(
             vs.iter().all(|&v| marked[v as usize]),
             "vs must list exactly the marked vertices"
@@ -1069,124 +1055,150 @@ impl ActiveHypergraph {
             marked.iter().filter(|&&m| m).count(),
             "vs must list exactly the marked vertices"
         );
-        if vs.windows(2).all(|w| w[0] < w[1]) {
-            for &v in vs {
-                if self.status[v as usize] == V_ALIVE {
-                    out.status[v as usize] = V_ALIVE;
-                    out.alive_list.push(v);
-                }
-            }
+        out.begin_induced(self.id_space, vs, |v| self.status[v as usize] == V_ALIVE);
+        let walked = !matches!(self.incidence, IncidenceIndex::None)
+            && out.keep_incident_edges(
+                vs,
+                self.total_live_size() / 4,
+                |v| self.incidence.incident(v).expect("checked above"),
+                |e| self.edge_status[e as usize] == EDGE_LIVE,
+                |e| self.live_edge(e),
+            );
+        if !walked {
+            out.keep_edges_inside(self.live_edges.iter().map(|&e| self.live_edge(e)));
+        }
+        out.finish_induced();
+    }
+
+    /// Resets this engine **in place** to the sub-hypergraph of `h` induced
+    /// by `vs` (in range, duplicate-free, any order): observationally
+    /// identical to `ActiveHypergraph::from_hypergraph(h).induced_by(marked)`
+    /// with `marked` flagging exactly `vs`, but no parent engine is built —
+    /// the kept edges come from `h`'s own incidence lists, or from one scan
+    /// of its edges once the walk would pass a quarter of `Σ_e |e|` (the
+    /// [`induced_by_into`](Self::induced_by_into) rule, with the total read
+    /// in `O(1)`). Once this engine has warmed up on a same-shaped query, a
+    /// call allocates nothing.
+    pub fn reset_induced(&mut self, h: &Hypergraph, vs: &[VertexId]) {
+        self.begin_induced(h.n_vertices(), vs, |_| true);
+        let walked = self.keep_incident_edges(
+            vs,
+            h.total_edge_size() / 4,
+            |v| h.incident_edges(v),
+            |_| true,
+            |e| h.edge(e),
+        );
+        if !walked {
+            self.keep_edges_inside(h.edges());
+        }
+        self.finish_induced();
+    }
+
+    /// The first half of an induce: unwinds the previous state through the
+    /// alive list (`O(previous sub size)`, not `O(id_space)`), makes the
+    /// alive set the vertices of `vs` that pass `alive`, ascending, and
+    /// empties the edge arena.
+    fn begin_induced(
+        &mut self,
+        id_space: usize,
+        vs: &[VertexId],
+        alive: impl Fn(VertexId) -> bool,
+    ) {
+        for &v in &self.alive_list {
+            self.status[v as usize] = V_DEAD;
+        }
+        self.alive_list.clear();
+        self.id_space = id_space;
+        self.status.resize(id_space, V_DEAD);
+        // Stale stamps are <= the epoch and readers bump before stamping.
+        self.stamp.resize(id_space, 0);
+        let mut sorted = std::mem::take(&mut self.scratch.verts);
+        let ascending = if vs.windows(2).all(|w| w[0] < w[1]) {
+            vs
         } else {
-            let mut sorted = std::mem::take(&mut out.scratch.verts);
             sorted.clear();
             sorted.extend_from_slice(vs);
             sorted.sort_unstable();
-            for &v in &sorted {
-                if self.status[v as usize] == V_ALIVE {
-                    out.status[v as usize] = V_ALIVE;
-                    out.alive_list.push(v);
-                }
+            &sorted
+        };
+        for &v in ascending {
+            if alive(v) {
+                self.status[v as usize] = V_ALIVE;
+                self.alive_list.push(v);
             }
-            out.scratch.verts = sorted;
         }
+        self.scratch.verts = sorted;
+        self.edge_offsets.clear();
+        self.edge_offsets.push(0);
+        self.edge_vertices.clear();
+        self.live_len.clear();
+    }
 
-        // Start rebuilding out's edge arena; kept edges are appended in
-        // frontier order (identical to `induced_by`'s edge order).
-        out.edge_offsets.clear();
-        out.edge_offsets.push(0);
-        out.edge_vertices.clear();
-        out.live_len.clear();
-        // Incidence-directed derivation: collect the live edges incident to
-        // a marked vertex (the only candidates for full containment) in a
-        // single walk, bailing out to the full scan if the mark set's
-        // incident degree turns out to rival the instance size (same
-        // threshold as the trim/discard fast paths). Candidates are sorted
-        // ascending, which *is* frontier order.
-        let mut use_incidence = !matches!(self.incidence, IncidenceIndex::None);
-        if use_incidence {
-            let budget = self.total_live_size() / 4;
-            let mut cand = std::mem::take(&mut out.scratch.pairs);
-            cand.clear();
-            let mut walked = 0usize;
-            'walk: for &v in vs {
-                let incident = self.incidence.incident(v).expect("checked above");
-                walked += incident.len();
-                if walked > budget {
-                    use_incidence = false;
-                    break 'walk;
-                }
-                for &e in incident {
-                    if self.edge_status[e as usize] == EDGE_LIVE {
-                        cand.push(e as u64);
-                    }
-                }
+    /// Keeps the live edges incident to `vs` that lie inside the alive set,
+    /// ascending. Returns `false`, keeping nothing, once the walked
+    /// incidence passes `budget`.
+    fn keep_incident_edges<'g>(
+        &mut self,
+        vs: &[VertexId],
+        budget: usize,
+        incident: impl Fn(VertexId) -> &'g [EdgeId],
+        is_live: impl Fn(EdgeId) -> bool,
+        live_edge: impl Fn(EdgeId) -> &'g [VertexId],
+    ) -> bool {
+        let mut cand = std::mem::take(&mut self.scratch.pairs);
+        cand.clear();
+        let mut walked = 0usize;
+        for &v in vs {
+            let incident = incident(v);
+            walked += incident.len();
+            if walked > budget {
+                self.scratch.pairs = cand;
+                return false;
             }
-            if use_incidence {
-                cand.sort_unstable();
-                cand.dedup();
-                let status_ref: &[u8] = &out.status;
-                for &e in &cand {
-                    let seg = self.live_edge(e as EdgeId);
-                    if seg.iter().all(|&v| status_ref[v as usize] == V_ALIVE) {
-                        out.edge_vertices.extend_from_slice(seg);
-                        out.edge_offsets.push(out.edge_vertices.len() as u32);
-                        out.live_len.push(seg.len() as u32);
-                    }
-                }
-            }
-            out.scratch.pairs = cand;
+            let live = incident.iter().filter(|&&e| is_live(e));
+            cand.extend(live.map(|&e| e as u64));
         }
-        if !use_incidence {
-            // Full scan: keep the live edges fully contained in the sub's
-            // alive set.
-            let mut keep = std::mem::take(&mut out.scratch.hit);
-            {
-                let status_ref: &[u8] = &out.status;
-                let offsets = &self.edge_offsets;
-                let verts = &self.edge_vertices;
-                let live_len = &self.live_len;
-                par_map_into(
-                    &self.live_edges,
-                    |&e| {
-                        let lo = offsets[e as usize] as usize;
-                        verts[lo..lo + live_len[e as usize] as usize]
-                            .iter()
-                            .all(|&v| status_ref[v as usize] == V_ALIVE)
-                    },
-                    None,
-                    &mut keep,
-                );
-            }
-            for (k, &e) in self.live_edges.iter().enumerate() {
-                if keep[k] {
-                    let seg = self.live_edge(e);
-                    out.edge_vertices.extend_from_slice(seg);
-                    out.edge_offsets.push(out.edge_vertices.len() as u32);
-                    out.live_len.push(seg.len() as u32);
-                }
-            }
-            out.scratch.hit = keep;
-        }
-        let m = out.live_len.len();
-        out.edge_status.clear();
-        out.edge_status.resize(m, EDGE_LIVE);
-        out.live_edges.clear();
-        out.live_edges.extend(0..m as EdgeId);
+        // Ascending edge ids are frontier order (and `h`'s edge order).
+        cand.sort_unstable();
+        cand.dedup();
+        self.keep_edges_inside(cand.iter().map(|&e| live_edge(e as EdgeId)));
+        self.scratch.pairs = cand;
+        true
+    }
 
-        // Compact incidence over the kept edges: a (vertex, edge) pair sort,
-        // O(T_sub log T_sub), no dependence on the id space.
-        let mut pairs = std::mem::take(&mut out.scratch.pairs);
+    /// Appends the given edges that lie inside the alive set to the arena.
+    fn keep_edges_inside<'g>(&mut self, edges: impl Iterator<Item = &'g [VertexId]>) {
+        for seg in edges {
+            if seg.iter().all(|&v| self.status[v as usize] == V_ALIVE) {
+                self.edge_vertices.extend_from_slice(seg);
+                self.edge_offsets.push(self.edge_vertices.len() as u32);
+                self.live_len.push(seg.len() as u32);
+            }
+        }
+    }
+
+    /// The second half of an induce: every kept edge live, plus a compact
+    /// incidence index over them — a (vertex, edge) pair sort,
+    /// `O(T_sub log T_sub)`, no dependence on the id space.
+    fn finish_induced(&mut self) {
+        let m = self.live_len.len();
+        self.edge_status.clear();
+        self.edge_status.resize(m, EDGE_LIVE);
+        self.live_edges.clear();
+        self.live_edges.extend(0..m as EdgeId);
+
+        let mut pairs = std::mem::take(&mut self.scratch.pairs);
         pairs.clear();
-        pairs.reserve(out.edge_vertices.len());
+        pairs.reserve(self.edge_vertices.len());
         for e in 0..m {
-            let lo = out.edge_offsets[e] as usize;
-            let hi = out.edge_offsets[e + 1] as usize;
-            for &v in &out.edge_vertices[lo..hi] {
+            let lo = self.edge_offsets[e] as usize;
+            let hi = self.edge_offsets[e + 1] as usize;
+            for &v in &self.edge_vertices[lo..hi] {
                 pairs.push(((v as u64) << 32) | e as u64);
             }
         }
         pairs.sort_unstable();
-        let (mut keys, mut inc_offsets, mut incident) = out.incidence.take_buffers();
+        let (mut keys, mut inc_offsets, mut incident) = self.incidence.take_buffers();
         keys.clear();
         inc_offsets.clear();
         incident.clear();
@@ -1200,13 +1212,13 @@ impl ActiveHypergraph {
             incident.push(e);
         }
         inc_offsets.push(incident.len() as u32);
-        out.incidence = IncidenceIndex::Compact {
+        self.incidence = IncidenceIndex::Compact {
             keys,
             offsets: inc_offsets,
             incident,
         };
-        out.scratch.pairs = pairs;
-        out.debug_validate();
+        self.scratch.pairs = pairs;
+        self.debug_validate();
     }
 
     /// The sub-hypergraph induced by the marked vertices, keeping only edges
@@ -1735,10 +1747,10 @@ pub mod reference {
 }
 
 /// Compile-time audit of the Send/Sync bounds the sharded serving layer
-/// relies on: resident engines are shared read-only across shard worker
+/// relies on: resident graphs are shared read-only across shard worker
 /// threads (`Sync`) and shard-local engines move into long-lived workers
-/// (`Send`). If a future engine change introduces `Rc`/`RefCell`/raw-pointer
-/// state, this stops compiling instead of the serve layer subtly breaking.
+/// (`Send`). If a future change introduces `Rc`/`RefCell`/raw-pointer state,
+/// this stops compiling instead of the serve layer subtly breaking.
 #[allow(dead_code)]
 fn assert_engines_are_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}

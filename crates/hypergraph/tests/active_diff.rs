@@ -333,14 +333,16 @@ fn handpicked_scripts() {
     );
 }
 
-/// `induced_by_into` (compact incidence, buffer reuse) vs `induced_by`
+/// `induced_by_into` (compact incidence, buffer reuse) and `reset_induced`
+/// (the same, read straight from the `Hypergraph`) vs `induced_by`
 /// (allocating full scan) vs the reference engine, across every generator
 /// family — including the *behaviour* of the derived sub-engines under a
 /// follow-up edit script, which is what exercises the compact incidence
-/// index the sub carries.
+/// index the subs carry.
 #[test]
 fn induced_by_into_agrees_across_generator_families() {
     let mut spare = ActiveHypergraph::from_parts(Vec::new(), Vec::new());
+    let mut reset_spare = ActiveHypergraph::from_parts(Vec::new(), Vec::new());
     for seed in 0..4u64 {
         let mut gen_rng = ChaCha8Rng::seed_from_u64(0x1D0C + seed);
         let families: Vec<Hypergraph> = vec![
@@ -371,27 +373,31 @@ fn induced_by_into_agrees_across_generator_families() {
                 let f = flags(h.n_vertices(), &vs);
                 let scan_sub = flat.induced_by(&f);
                 flat.induced_by_into(&f, &vs, &mut spare);
+                reset_spare.reset_induced(&h, &vs);
                 let ref_sub = ActiveEngine::induced_by(&reference, &f);
                 assert_same_state(&spare, &ref_sub, "induced (into vs reference)");
+                assert_same_state(&reset_spare, &ref_sub, "induced (reset vs reference)");
                 assert_same_state(&scan_sub, &ref_sub, "induced (scan vs reference)");
-                // Drive all three subs through the same follow-up script;
-                // the compact-incidence sub must keep agreeing.
+                // Drive all four subs through the same follow-up script;
+                // the compact-incidence subs must keep agreeing.
                 let mut a = scan_sub;
-                let mut b = std::mem::replace(
-                    &mut spare,
-                    ActiveHypergraph::from_parts(Vec::new(), Vec::new()),
-                );
+                let empty = || ActiveHypergraph::from_parts(Vec::new(), Vec::new());
+                let mut b = std::mem::replace(&mut spare, empty());
+                let mut c = std::mem::replace(&mut reset_spare, empty());
                 let mut r = ref_sub;
                 let ops = random_script(&mut rng, h.n_vertices(), 6);
                 for (i, op) in ops.iter().enumerate() {
                     let ctx = format!("sub op {i} = {op:?}");
-                    let mut r2 = r.clone();
+                    let (mut r2, mut r3) = (r.clone(), r.clone());
                     apply_op(&mut a, &mut r, op, h.n_vertices());
                     apply_op(&mut b, &mut r2, op, h.n_vertices());
+                    apply_op(&mut c, &mut r3, op, h.n_vertices());
                     assert_same_state(&a, &r, &ctx);
                     assert_same_state(&b, &r, &ctx);
+                    assert_same_state(&c, &r, &ctx);
                 }
                 spare = b;
+                reset_spare = c;
             }
         }
     }
@@ -491,8 +497,9 @@ proptest! {
         replay(&h, &ops);
     }
 
-    /// `induced_by_into` into a dirty reused engine matches `induced_by` and
-    /// the reference for arbitrary hypergraphs and arbitrary mark sets.
+    /// `induced_by_into` and `reset_induced` into dirty reused engines match
+    /// `induced_by` and the reference for arbitrary hypergraphs and
+    /// arbitrary mark sets.
     #[test]
     fn induced_by_into_matches_on_arbitrary_instances(
         edges in prop::collection::vec(
@@ -501,6 +508,7 @@ proptest! {
         ),
         marks in prop::collection::btree_set(0u32..24, 0..=24usize),
         dirty_marks in prop::collection::btree_set(0u32..24, 0..=12usize),
+        shuffle_seed in any::<u64>(),
     ) {
         let edges: Vec<Vec<u32>> = edges.into_iter().map(|s| s.into_iter().collect()).collect();
         let h = hypergraph::builder::hypergraph_from_edges(24, edges);
@@ -518,5 +526,13 @@ proptest! {
         let ref_sub = ActiveEngine::induced_by(&reference, &f);
         assert_same_state(&out, &ref_sub, "into vs reference");
         assert_same_state(&scan, &ref_sub, "scan vs reference");
+        // A full engine with killed vertices, reset in place to the same
+        // sub-instance from an unsorted vertex list.
+        let mut reset = ActiveHypergraph::from_hypergraph(&h);
+        reset.kill_vertices(&dirty);
+        let mut shuffled = vs.clone();
+        shuffled.shuffle(&mut ChaCha8Rng::seed_from_u64(shuffle_seed));
+        reset.reset_induced(&h, &shuffled);
+        assert_same_state(&reset, &ref_sub, "reset vs reference");
     }
 }

@@ -32,9 +32,9 @@
 //! [`GraphEdit`] log; [`ResidentRegistry::apply`] bumps the graph's
 //! [`Epoch`] and publishes the next immutable [`ResidentSnapshot`]
 //! (copy-on-write: older snapshots are shared untouched, so mutation never
-//! blocks or invalidates readers). Workers only ever read snapshots (`&self`
-//! induction — see the concurrency section of [`hypergraph::ActiveEngine`]),
-//! deriving per-query sub-instances into their own shard-local engines.
+//! blocks or invalidates readers). Workers only ever read snapshots, each
+//! one shared [`Hypergraph`], deriving per-query sub-instances from its CSR
+//! into their own shard-local engines.
 //!
 //! # Tenancy
 //!
@@ -127,9 +127,9 @@
 //!   re-opens it **zero-copy**: the four CSR arrays are served straight out
 //!   of one read-only file mapping shared by every shard (validated
 //!   structurally up front — a corrupt file is a parse error, never a
-//!   crash; see [`hypergraph::io::open_mapped`]). Engine construction reads
-//!   the mapped slices directly, so first-query latency is the engine build
-//!   alone — the `coldstart` bench gates it at ≥ 5× faster than
+//!   crash; see [`hypergraph::io::open_mapped`]). Nothing copies the mapped
+//!   slices onto the heap, so first-query latency is the validation plus
+//!   the query — the `coldstart` bench gates it at ≥ 5× faster than
 //!   parse + build on the largest workloads.
 //!
 //! The tiers compose: a mapped graph is mutable like any other —
@@ -255,7 +255,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 use std::thread::JoinHandle;
 
 /// Identifies the tenant a [`SolveRequest`] belongs to.
@@ -436,21 +436,32 @@ pub enum EpochPin {
 }
 
 /// One immutable version of a resident graph: the [`Hypergraph`] at a given
-/// [`Epoch`] plus the prebuilt induction engine derived from it. Snapshots
-/// are shared (`Arc`) between the registry, in-flight requests and callers,
-/// so a mutation can never invalidate a pinned query — old epochs stay
-/// answerable as long as anything references them.
+/// [`Epoch`], its only copy (induced queries read its CSR through
+/// [`ActiveHypergraph::reset_induced`]). Snapshots are shared (`Arc`)
+/// between the registry, in-flight requests and callers, so a mutation can
+/// never invalidate a pinned query — old epochs stay answerable as long as
+/// anything references them.
 #[derive(Debug)]
 pub struct ResidentSnapshot {
     epoch: Epoch,
     log_len: usize,
-    // Graph and engine are separately Arc'd so compaction can re-base a
-    // snapshot (same graph, log_len 0) without rebuilding either.
+    // Arc'd so compaction can re-base a snapshot (same graph, log_len 0)
+    // without copying it.
     graph: Arc<Hypergraph>,
-    engine: Arc<ActiveHypergraph>,
+    // Filled only by `engine()`; no serving path calls it.
+    engine: OnceLock<ActiveHypergraph>,
 }
 
 impl ResidentSnapshot {
+    fn new(epoch: Epoch, log_len: usize, graph: Arc<Hypergraph>) -> Arc<Self> {
+        Arc::new(ResidentSnapshot {
+            epoch,
+            log_len,
+            graph,
+            engine: OnceLock::new(),
+        })
+    }
+
     /// The epoch this snapshot materializes.
     pub fn epoch(&self) -> Epoch {
         self.epoch
@@ -469,10 +480,12 @@ impl ResidentSnapshot {
         &self.graph
     }
 
-    /// The prebuilt induction engine for this epoch (what induced queries
-    /// derive their sub-instances from).
+    /// A full [`ActiveHypergraph`] over this epoch's graph: a heap copy of
+    /// its CSR, built on the first call and kept for the snapshot's lifetime.
+    /// Nothing in this workspace calls it; serving reads [`graph`](Self::graph).
     pub fn engine(&self) -> &ActiveHypergraph {
-        &self.engine
+        self.engine
+            .get_or_init(|| ActiveHypergraph::from_hypergraph(&self.graph))
     }
 }
 
@@ -512,7 +525,7 @@ impl RetentionPolicy {
 /// are spillable: a mapped snapshot opened by
 /// [`ResidentRegistry::open_mapped`] that has never been mutated (an edit
 /// log pins a graph in memory — its epochs exist nowhere else). Spilling
-/// drops the graph's snapshot (arena and prebuilt engine); the next touch
+/// drops the graph's snapshot, which is only its arena; the next touch
 /// transparently re-opens the source file and pages it back in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpillPolicy {
@@ -547,8 +560,8 @@ impl SpillPolicy {
 /// spawning a [`ShardedRunner`]; after that, *mutate through the `Arc`*:
 /// [`apply`](Self::apply) takes `&self` (each graph's version chain sits
 /// behind its own lock), appends the edits to the log and publishes the next
-/// epoch's snapshot. Workers only ever read snapshots (`&self` induction —
-/// see the concurrency section of [`hypergraph::ActiveEngine`]), and every
+/// epoch's snapshot. Workers only ever read snapshots (shared graphs — see
+/// the concurrency section of [`hypergraph::ActiveEngine`]), and every
 /// request pins the epoch it was submitted against, so in-flight queries on
 /// older epochs keep returning byte-identical outcomes while the log grows.
 ///
@@ -689,7 +702,7 @@ impl ResidentRegistry {
     }
 
     /// Registers `graph` as a resident tenant at epoch 0 (empty edit log),
-    /// building its induction engine eagerly, and returns its handle.
+    /// building nothing beside it, and returns its handle.
     pub fn register(&mut self, graph: Hypergraph) -> GraphId {
         let id = self.register_with_base(graph, 0);
         self.enforce_spill();
@@ -726,17 +739,15 @@ impl ResidentRegistry {
     /// restore path's entry point (a WAL persisted after a compaction has a
     /// non-zero base, and epoch numbers must survive the round trip).
     fn register_with_base(&mut self, graph: Hypergraph, base_epoch: u64) -> GraphId {
-        let engine = ActiveHypergraph::from_hypergraph(&graph);
         self.entries.push(RwLock::new(ResidentState {
             log: Arc::new(Vec::new()),
             base_epoch,
             watermarks: vec![0],
-            snapshots: vec![Some(Arc::new(ResidentSnapshot {
-                epoch: Epoch(base_epoch),
-                log_len: 0,
-                graph: Arc::new(graph),
-                engine: Arc::new(engine),
-            }))],
+            snapshots: vec![Some(ResidentSnapshot::new(
+                Epoch(base_epoch),
+                0,
+                Arc::new(graph),
+            ))],
             evictions: 0,
             source: None,
             spilled: false,
@@ -787,18 +798,13 @@ impl ResidentRegistry {
         if edits.is_empty() {
             return Ok(current.epoch);
         }
-        let graph = apply_edits(current.graph(), edits)?;
-        let engine = ActiveHypergraph::from_hypergraph(&graph);
+        let graph = Arc::new(apply_edits(current.graph(), edits)?);
         let epoch = Epoch(st.current_epoch().0 + 1);
         Arc::make_mut(&mut st.log).extend(edits.iter().cloned());
         let log_len = st.log.len();
         st.watermarks.push(log_len);
-        st.snapshots.push(Some(Arc::new(ResidentSnapshot {
-            epoch,
-            log_len,
-            graph: Arc::new(graph),
-            engine: Arc::new(engine),
-        })));
+        st.snapshots
+            .push(Some(ResidentSnapshot::new(epoch, log_len, graph)));
         self.evict_below_floor(&mut st);
         drop(st);
         // The new snapshot may push the pool over the spill cap.
@@ -841,7 +847,7 @@ impl ResidentRegistry {
     }
 
     /// Re-opens a spilled entry's source snapshot and reinstalls its base
-    /// (snapshot + engine) under the caller's write lock.
+    /// snapshot under the caller's write lock.
     fn page_in_locked(&self, st: &mut ResidentState) -> Result<Arc<ResidentSnapshot>, String> {
         let source = st
             .source
@@ -849,13 +855,7 @@ impl ResidentRegistry {
             .expect("only graphs with a source snapshot file are spillable");
         let graph = hypergraph::io::open_mapped(&source)
             .map_err(|e| format!("cannot re-open {}: {e}", source.display()))?;
-        let engine = ActiveHypergraph::from_hypergraph(&graph);
-        let snap = Arc::new(ResidentSnapshot {
-            epoch: Epoch(st.base_epoch),
-            log_len: 0,
-            graph: Arc::new(graph),
-            engine: Arc::new(engine),
-        });
+        let snap = ResidentSnapshot::new(Epoch(st.base_epoch), 0, Arc::new(graph));
         st.snapshots[0] = Some(Arc::clone(&snap));
         st.spilled = false;
         st.page_ins += 1;
@@ -1070,8 +1070,8 @@ impl ResidentRegistry {
     /// earlier epochs now answer [`SolveError::EpochEvicted`]. Returns the
     /// (unchanged) current epoch.
     ///
-    /// The graph and engine are shared into the re-based snapshot, not
-    /// rebuilt; in-flight requests holding pre-compact snapshot `Arc`s are
+    /// The graph is shared into the re-based snapshot, not copied;
+    /// in-flight requests holding pre-compact snapshot `Arc`s are
     /// unaffected. Persist first if the history should survive — a WAL
     /// written *after* a compact starts at the compacted base.
     ///
@@ -1092,12 +1092,11 @@ impl ResidentRegistry {
         st.base_epoch = epoch.0;
         st.log = Arc::new(Vec::new());
         st.watermarks = vec![0];
-        st.snapshots = vec![Some(Arc::new(ResidentSnapshot {
+        st.snapshots = vec![Some(ResidentSnapshot::new(
             epoch,
-            log_len: 0,
-            graph: Arc::clone(&latest.graph),
-            engine: Arc::clone(&latest.engine),
-        }))];
+            0,
+            Arc::clone(&latest.graph),
+        ))];
         epoch
     }
 
@@ -1293,9 +1292,9 @@ impl ResidentRegistry {
         }
     }
 
-    /// `true` while the graph behind `id` is spilled: its base snapshot
-    /// (arena and engine) has been dropped under the [`SpillPolicy`] and the
-    /// next touch will page it back in from its source file.
+    /// `true` while the graph behind `id` is spilled: its base snapshot (the
+    /// graph's arena) has been dropped under the [`SpillPolicy`] and the next
+    /// touch will page it back in from its source file.
     ///
     /// # Panics
     /// Panics if `id` did not come from this registry or its index is out of
@@ -1323,8 +1322,9 @@ impl ResidentRegistry {
     }
 
     /// Total [`Hypergraph::bytes_resident`] over every resident snapshot of
-    /// every graph — the quantity the [`SpillPolicy`] caps. Spilled graphs
-    /// contribute nothing.
+    /// every graph — the quantity the [`SpillPolicy`] caps, and (snapshots
+    /// holding nothing but their graphs) all the registry keeps beside its
+    /// bookkeeping. Spilled graphs contribute nothing.
     pub fn resident_bytes(&self) -> u64 {
         self.entries
             .iter()
@@ -1834,7 +1834,7 @@ pub(crate) fn execute_resolved(
         (Target::Induced { graph, vertices }, Some(Ok(snap))) => {
             ws.note_graph_epoch(graph.index as u64, snap.epoch().0);
             let mut out = solve_induced(
-                snap.engine(),
+                snap.graph(),
                 vertices,
                 &req.algorithm,
                 req.seed,
@@ -1946,27 +1946,28 @@ fn solve_full(
     }
 }
 
-/// An induced query: derive the sub-instance through the resident engine's
-/// incidence into a shard-local engine slot, then run the algorithm's
-/// `*_on_active_in` body on it in place. The sub-engine keeps the resident
-/// graph's ids; the bodies size their scratch by the sub-instance or take
-/// id-space buffers without re-zeroing them, so a small query does not pay
-/// for the resident graph's id space. Each answer equals the one the
-/// algorithm gives on the compacted instance, mapped back to original ids.
+/// An induced query: derive the sub-instance from the resident graph's CSR
+/// into a shard-local engine slot, then run the algorithm's `*_on_active_in`
+/// body on it in place. The sub-engine keeps the resident graph's ids; the
+/// bodies size their scratch by the sub-instance or take id-space buffers
+/// without re-zeroing them, so a small query does not pay for the resident
+/// graph. Each answer equals the one the algorithm gives on the compacted
+/// instance, mapped back to original ids.
 fn solve_induced(
-    parent: &ActiveHypergraph,
+    parent: &Hypergraph,
     vertices: &[VertexId],
     algorithm: &Algorithm,
     seed: u64,
     rng: &mut ChaCha8Rng,
     ws: &mut Workspace,
 ) -> SolveOutcome {
-    let id_space = parent.id_space();
-    // Mark the query set, validating as we go; the buffer is pooled under a
-    // trusted-clean key, so the unwind below must cover every bit we set.
+    let id_space = parent.n_vertices();
+    // Validate the query (in range, duplicate-free) by marking it; the
+    // buffer is pooled under a trusted-clean key, so every bit set here is
+    // cleared again before it goes back.
     let mut marked = ws.take_flags_clean("serve.marked", id_space);
     let mut invalid: Option<SolveError> = None;
-    let mut set_upto = 0usize;
+    let mut set_upto = vertices.len();
     for (i, &v) in vertices.iter().enumerate() {
         if (v as usize) >= id_space {
             invalid = Some(SolveError::InvalidQuery {
@@ -1986,22 +1987,18 @@ fn solve_induced(
         }
         marked[v as usize] = true;
     }
+    for &v in &vertices[..set_upto] {
+        marked[v as usize] = false;
+    }
+    ws.put_flags("serve.marked", marked);
     if let Some(error) = invalid {
-        for &v in &vertices[..set_upto] {
-            marked[v as usize] = false;
-        }
-        ws.put_flags("serve.marked", marked);
         return failed(seed, error);
     }
 
     let mut sub: ActiveHypergraph = ws
         .take_any::<ActiveHypergraph>("serve.sub")
         .unwrap_or_else(|| ActiveHypergraph::from_parts(Vec::new(), Vec::new()));
-    parent.induced_by_into(&marked, vertices, &mut sub);
-    for &v in vertices {
-        marked[v as usize] = false;
-    }
-    ws.put_flags("serve.marked", marked);
+    sub.reset_induced(parent, vertices);
 
     let mut cost = CostTracker::new();
     let out = match algorithm {
@@ -3030,6 +3027,75 @@ mod tests {
         let _ = reg.latest(id);
     }
 
+    // One copy per resident graph: every path that publishes a snapshot
+    // (register, a mapped open that spills and pages back in, apply,
+    // compact, restore) and a full plus an induced query of every algorithm
+    // on each graph leave every snapshot's engine cell empty.
+    #[test]
+    fn serving_never_builds_a_snapshot_engine() {
+        let csr = temp_csr("engine-cell");
+        let wal = csr.with_extension("wal");
+        let h = hypergraph::generate::linear(&mut ChaCha8Rng::seed_from_u64(7), 60, 20, 3);
+        hypergraph::io::write_csr(&h, &csr).unwrap();
+        let mut reg = ResidentRegistry::with_spill(SpillPolicy::max_bytes(0));
+        let owned = reg.register(h);
+        let mapped = reg.open_mapped(&csr).unwrap();
+        assert!(reg.is_spilled(mapped));
+        reg.apply(owned, &[GraphEdit::GrowVertices(2)]).unwrap();
+        reg.apply(owned, &[GraphEdit::AddEdge(vec![60, 61])])
+            .unwrap();
+        reg.compact(owned);
+        reg.apply(owned, &[GraphEdit::AddEdge(vec![0, 61])])
+            .unwrap();
+        reg.persist(owned, &wal).unwrap();
+        let restored = reg.restore(&wal).unwrap();
+
+        let algorithms = [
+            Algorithm::Sbl(SblConfig::default()),
+            Algorithm::Bl(BlConfig::default()),
+            Algorithm::Kuw,
+            Algorithm::Greedy,
+            Algorithm::Permutation,
+            Algorithm::Linear,
+        ];
+        let query: Vec<VertexId> = (0..40).rev().collect();
+        let mut ws = Workspace::new();
+        let mut queried = Vec::new();
+        for id in [owned, mapped, restored] {
+            for algorithm in &algorithms {
+                for req in [
+                    SolveRequest::for_graph(id),
+                    SolveRequest::induced(id, query.clone()),
+                ] {
+                    let req = req.algorithm(algorithm.clone()).build();
+                    let snap = reg.lookup(id, EpochPin::Latest).unwrap();
+                    let out = execute_resolved(&req, Some(Ok(Arc::clone(&snap))), &mut ws);
+                    assert_eq!(out.error, None, "{algorithm:?} on {id:?}");
+                    queried.push(snap);
+                }
+            }
+        }
+        assert!(reg.page_ins(mapped) > 0);
+        let retained: Vec<Arc<ResidentSnapshot>> = reg
+            .entries
+            .iter()
+            .flat_map(|entry| entry.read().unwrap().snapshots.clone())
+            .flatten()
+            .collect();
+        // Owned and restored: the compacted base and one later epoch each;
+        // the mapped graph is spilled again.
+        assert_eq!(retained.len(), 4);
+        for snap in retained.iter().chain(&queried) {
+            assert!(
+                snap.engine.get().is_none(),
+                "epoch {:?} built an engine",
+                snap.epoch
+            );
+        }
+        std::fs::remove_file(&csr).ok();
+        std::fs::remove_file(&wal).ok();
+    }
+
     /// The oracle for [`solve_induced`]: BL, KUW and greedy on the
     /// sub-engine; SBL, permutation and linear on the sub-instance compacted
     /// to a standalone hypergraph, solved by `*_mis_in` and mapped back to
@@ -3174,7 +3240,7 @@ mod tests {
             let id = reg.register(h);
             reg.apply(id, &edits).unwrap();
             let snap = reg.lookup(id, EpochPin::At(Epoch(u64::from(mutated)))).unwrap();
-            let parent = snap.engine();
+            let parent = &ActiveHypergraph::from_hypergraph(snap.graph());
 
             let r = &mut ChaCha8Rng::seed_from_u64(query_seed);
             let id_space = parent.id_space();
@@ -3214,7 +3280,7 @@ mod tests {
             for algorithm in &algorithms {
                 let seed = rand::RngCore::next_u64(r);
                 let rng = &mut ChaCha8Rng::seed_from_u64(seed);
-                let got = solve_induced(parent, &query, algorithm, seed, rng, &mut ws);
+                let got = solve_induced(snap.graph(), &query, algorithm, seed, rng, &mut ws);
                 let want = solve_induced_compacted(parent, &query, algorithm, seed, &mut oracle_ws);
                 proptest::prop_assert_eq!(got.fingerprint(), want.fingerprint());
             }

@@ -1,0 +1,120 @@
+//! One copy per resident graph, measured on the heap: registering an owned
+//! graph, opening a mapped snapshot and applying a one-edit batch grow the
+//! live heap by no more than the graphs the registry then holds, plus a
+//! little bookkeeping; and inducing a query from a resident graph into a
+//! warm engine allocates nothing.
+//!
+//! A counting `#[global_allocator]` tracks live heap bytes for this whole
+//! test binary, which therefore holds a single test: nothing else allocates
+//! while it measures.
+
+use hypergraph_mis::hypergraph::io::write_csr;
+use hypergraph_mis::prelude::*;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The system allocator, keeping a running total of live bytes.
+struct Counting;
+
+// Relaxed: the counts publish no other data.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System` and
+// returns what `System` returned, so the caller's guarantees are exactly
+// the ones `System` needs; the counter never touches the memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            LIVE.fetch_add(new_size, Ordering::Relaxed);
+            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Live heap bytes added by `f` (negative if it freed more than it kept).
+fn heap_growth<T>(f: impl FnOnce() -> T) -> (T, isize) {
+    let before = LIVE.load(Ordering::Relaxed) as isize;
+    let out = f();
+    (out, LIVE.load(Ordering::Relaxed) as isize - before)
+}
+
+#[test]
+fn each_resident_graph_is_held_once() {
+    let n = 1 << 16;
+    let graph = generate::d_uniform(&mut ChaCha8Rng::seed_from_u64(16), n, 2 * n, 3);
+    let graph_bytes = graph.bytes_resident() as isize;
+    let removed = graph.edge(0).to_vec();
+    let path =
+        std::env::temp_dir().join(format!("hgmis-resident-heap-{}.hgcsr", std::process::id()));
+    write_csr(&graph, &path).unwrap();
+    let file_bytes = std::fs::metadata(&path).unwrap().len() as isize;
+    let mut registry = ResidentRegistry::new();
+
+    // An owned graph moves into the registry: bookkeeping only.
+    let (owned, grew) = heap_growth(|| registry.register(graph));
+    assert!(
+        grew * 100 < graph_bytes,
+        "register grew the heap by {grew} B for a {graph_bytes} B graph"
+    );
+
+    // A mapped graph lives in its file mapping, not on the heap.
+    let (_mapped, grew) = heap_growth(|| registry.open_mapped(&path).unwrap());
+    assert!(
+        grew * 100 < file_bytes,
+        "open_mapped grew the heap by {grew} B for a {file_bytes} B file"
+    );
+
+    // A one-edit batch publishes one new graph and nothing beside it.
+    let (_, grew) = heap_growth(|| {
+        registry
+            .apply(owned, &[GraphEdit::RemoveEdge(removed)])
+            .unwrap()
+    });
+    let new_bytes = registry.latest(owned).graph().bytes_resident() as isize;
+    assert!(
+        grew * 100 <= new_bytes * 101,
+        "apply grew the heap by {grew} B for a {new_bytes} B graph"
+    );
+
+    // Once warm, an induce allocates nothing on either branch: a small
+    // query walks the incidence lists, the whole vertex set (unsorted)
+    // falls back to the edge scan.
+    let snap = registry.latest(owned);
+    let mut sub = ActiveHypergraph::from_parts(Vec::new(), Vec::new());
+    let small: Vec<u32> = (0..64).collect();
+    let whole: Vec<u32> = (0..n as u32).rev().collect();
+    for query in [&small, &whole] {
+        sub.reset_induced(snap.graph(), query);
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for query in [&small, &whole] {
+        sub.reset_induced(snap.graph(), query);
+    }
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(allocations, 0, "a warm reset_induced allocated");
+    assert_eq!(sub.n_alive(), n);
+    std::fs::remove_file(&path).ok();
+}

@@ -156,7 +156,7 @@ fn outcomes_are_shard_count_invariant() {
 /// Checks an induced answer against an independently derived sub-instance.
 fn verify_induced(registry: &ResidentRegistry, id: GraphId, q: &[u32], set: &[u32]) {
     let snap = registry.latest(id);
-    let engine = snap.engine();
+    let engine = ActiveHypergraph::from_hypergraph(snap.graph());
     let mut marked = vec![false; engine.id_space()];
     for &v in q {
         marked[v as usize] = true;
