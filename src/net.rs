@@ -11,7 +11,9 @@
 //! same contract the library has). A [`Client`] is the matching blocking
 //! connector. No async runtime is involved anywhere: the front-end is
 //! thread-per-connection over the same [`pram::pool`] worker seam the
-//! shards use, with one dispatcher thread owning the runner.
+//! shards use. Each connection's reader submits to the runner under one
+//! shared lock, and the shard that computes an outcome queues it straight
+//! on that connection's writer.
 //!
 //! Determinism survives the trip: the codec is lossless down to the trace
 //! `f64`s, so an outcome's

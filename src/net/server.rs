@@ -9,23 +9,21 @@
 //!
 //! * one **acceptor** blocks in [`TcpListener::accept`] and spawns a
 //!   reader/writer pair per connection;
-//! * each connection's **reader** decodes request frames and forwards them
-//!   to the dispatcher (a codec rejection is answered with an error frame
-//!   and closes the connection — a byte stream cannot resynchronise past a
-//!   framing error);
+//! * each connection's **reader** decodes request frames and submits them
+//!   to the [`ShardedRunner`] itself, under the one lock every reader
+//!   shares (a codec rejection is answered with an error frame and closes
+//!   the connection — a byte stream cannot resynchronise past a framing
+//!   error). Requests from every connection therefore take their tickets
+//!   from one submission sequence, so each request's outcome is exactly
+//!   what the library would have produced — per-request determinism holds
+//!   whatever the cross-connection interleaving. A reader whose shard
+//!   queue is full waits in `submit`, which slows its client through TCP;
+//! * the **shard** that computes an outcome queues it, tagged with the
+//!   request's correlation id, straight on the writer of the connection
+//!   that asked: no thread sits between a completion and its reply;
 //! * each connection's **writer** owns the response half of the socket and
-//!   encodes outcome/error frames from its queue, so a slow connection
-//!   backpressures only itself;
-//! * one **dispatcher** owns the
-//!   [`ShardedRunner`] — the only thread that
-//!   touches it. It parks until a reader hands it a request or a shard
-//!   finishes one (both unpark it), submits every queued request, routes
-//!   every completed outcome to the writer of the connection whose ticket
-//!   it answers, and parks again: no timer sits between a completion and
-//!   its reply. Requests from every connection funnel through one
-//!   submission sequence, so each request's outcome is exactly what the
-//!   library would have produced — per-request determinism holds whatever
-//!   the cross-connection interleaving.
+//!   encodes outcome/error frames from its unbounded queue, so a slow
+//!   client never blocks a shard.
 //!
 //! [`Server::shutdown`] is graceful: in-flight (already submitted)
 //! requests complete and their responses are flushed; bytes not yet decoded
@@ -35,27 +33,28 @@
 use super::codec::{encode_error_frame, encode_outcome_frame};
 use super::frame::{self, FrameKind, ReadFrame, DEFAULT_MAX_PAYLOAD};
 use crate::serve::{
-    ConnectionStats, ResidentRegistry, ServeConfig, ServeStats, ShardedRunner, SolveOutcome,
-    SolveRequest,
+    ConnectionStats, Reply, ResidentRegistry, ServeConfig, ServeStats, ShardedRunner, SolveOutcome,
 };
-use pram::WorkspacePool;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::thread::{JoinHandle, Thread};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How long a reader's socket read, or a parked dispatcher, waits before
-/// re-checking for shutdown or a dead shard. Neither waits this long for
-/// work: data wakes a read, and every event or completion unparks the
-/// dispatcher.
+/// How long a reader's socket read waits before re-checking for shutdown
+/// (data wakes it at once), and how long the acceptor backs off after a
+/// failed accept.
 const POLL: Duration = Duration::from_millis(10);
 
 /// How long shutdown's loopback connect may take to wake the acceptor.
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// A reader panics in `submit` when the shard it routes to has died, and
+/// that poisons the runner lock for every other reader and for shutdown.
+const RUNNER_POISONED: &str = "net: runner lock poisoned (a worker shard died)";
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
@@ -89,43 +88,7 @@ struct ConnCounters {
     protocol_errors: AtomicU64,
 }
 
-/// What flows from connection threads to the dispatcher.
-enum Event {
-    Connect {
-        conn: u64,
-        writer: mpsc::Sender<WriterMsg>,
-    },
-    Submit {
-        conn: u64,
-        correlation: u64,
-        request: SolveRequest,
-    },
-    Disconnect {
-        conn: u64,
-    },
-    /// Sent by [`Server::shutdown`] once every reader has stopped: finish
-    /// what was submitted, then return.
-    Stop,
-}
-
-/// The sending side of the dispatcher's event queue. Every send unparks the
-/// dispatcher, so an event never waits for its timeout.
-#[derive(Clone)]
-struct Inbox {
-    events: mpsc::Sender<Event>,
-    dispatcher: Thread,
-}
-
-impl Inbox {
-    /// Queues `event`; `false` once the dispatcher has gone.
-    fn send(&self, event: Event) -> bool {
-        let sent = self.events.send(event).is_ok();
-        self.dispatcher.unpark();
-        sent
-    }
-}
-
-/// What flows from the dispatcher (or a reader, for codec rejections) to a
+/// What flows from the shards (or the reader, for codec rejections) to a
 /// connection's writer.
 enum WriterMsg {
     Outcome {
@@ -145,9 +108,9 @@ enum WriterMsg {
 pub struct Server {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    inbox: Inbox,
+    // `None` once stopped.
+    runner: Option<Arc<Mutex<ShardedRunner>>>,
     acceptor: Option<JoinHandle<()>>,
-    dispatcher: Option<JoinHandle<ServeStats>>,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     writers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     counters: Arc<Mutex<BTreeMap<u64, Arc<ConnCounters>>>>,
@@ -166,27 +129,14 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (events_tx, events_rx) = mpsc::channel::<Event>();
+        let runner = Arc::new(Mutex::new(ShardedRunner::new(registry, &config.serve)));
         let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
         let writers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
         let counters: Arc<Mutex<BTreeMap<u64, Arc<ConnCounters>>>> = Arc::default();
 
-        let serve = config.serve.clone();
-        let dispatcher = pram::pool::spawn_worker("net-dispatcher".into(), None, move || {
-            // Built on this thread so that every shard unparks it when an
-            // outcome lands.
-            let wake = Some(std::thread::current());
-            let runner = ShardedRunner::with_wake(registry, &serve, WorkspacePool::default(), wake);
-            dispatch(runner, events_rx)
-        });
-        let inbox = Inbox {
-            events: events_tx,
-            dispatcher: dispatcher.thread().clone(),
-        };
-
         let acceptor = {
             let shutdown = Arc::clone(&shutdown);
-            let inbox = inbox.clone();
+            let runner = Arc::clone(&runner);
             let readers = Arc::clone(&readers);
             let writers = Arc::clone(&writers);
             let counters = Arc::clone(&counters);
@@ -208,7 +158,7 @@ impl Server {
                                 stream,
                                 max_payload,
                                 &shutdown,
-                                &inbox,
+                                &runner,
                                 &readers,
                                 &writers,
                                 &counters,
@@ -226,9 +176,8 @@ impl Server {
         Ok(Server {
             addr,
             shutdown,
-            inbox,
+            runner: Some(runner),
             acceptor: Some(acceptor),
-            dispatcher: Some(dispatcher),
             readers,
             writers,
             counters,
@@ -246,35 +195,34 @@ impl Server {
     /// [`connections`](ServeStats::connections) filled in (one entry per
     /// connection ever accepted, including already-closed ones).
     pub fn shutdown(mut self) -> ServeStats {
-        self.stop().expect("net: dispatcher thread panicked")
+        self.stop().expect(RUNNER_POISONED)
     }
 
+    /// Stops the server; `None` if it was already stopped or the runner
+    /// lock is poisoned.
     fn stop(&mut self) -> Option<ServeStats> {
+        let runner = self.runner.take()?;
         self.shutdown.store(true, Ordering::Release);
         if let Some(h) = self.acceptor.take() {
             // A connect wakes the acceptor from `accept` to see the flag. If
             // even a loopback connect fails, nothing can wake it: leave it
-            // detached rather than hang shutdown (the dispatcher ends on
-            // `Stop`, not on the acceptor's sender going away).
+            // detached rather than hang shutdown.
             if TcpStream::connect_timeout(&loopback(self.addr), WAKE_TIMEOUT).is_ok() {
                 let _ = h.join();
             }
         }
-        // Readers notice the flag within one read timeout. They leave their
-        // connections registered, so the dispatcher's drain below still
-        // reaches every writer.
+        // Readers notice the flag within one read timeout; one waiting in
+        // `submit` on a full shard queue returns once the shard takes the
+        // job.
         for h in self.readers.lock().expect("reader list").drain(..) {
             let _ = h.join();
         }
-        // No request can arrive after this: the dispatcher drains
-        // outstanding outcomes to the writers and then drops their queues.
-        self.inbox.send(Event::Stop);
-        let stats = self
-            .dispatcher
-            .take()
-            .map(|h| h.join().expect("net: dispatcher thread panicked"));
-        // Each writer exits once it has written what its queue still held,
-        // so the response counters below are final.
+        // No request can arrive after this: the shards solve everything
+        // still queued and hand each outcome to its connection's writer.
+        let stats = runner.lock().ok().map(|mut runner| runner.finish());
+        // A writer's queue closes once its reader and every reply holding
+        // it are gone, and the writer exits after writing what the queue
+        // held, so the response counters below are final.
         for h in self.writers.lock().expect("writer list").drain(..) {
             let _ = h.join();
         }
@@ -311,9 +259,7 @@ fn loopback(mut addr: SocketAddr) -> SocketAddr {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if self.dispatcher.is_some() {
-            let _ = self.stop();
-        }
+        let _ = self.stop();
     }
 }
 
@@ -324,7 +270,7 @@ fn spawn_connection(
     stream: TcpStream,
     max_payload: u32,
     shutdown: &Arc<AtomicBool>,
-    inbox: &Inbox,
+    runner: &Arc<Mutex<ShardedRunner>>,
     readers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
     writers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
     counters: &Arc<Mutex<BTreeMap<u64, Arc<ConnCounters>>>>,
@@ -340,13 +286,6 @@ fn spawn_connection(
         .insert(conn, Arc::clone(&conn_counters));
 
     let (writer_tx, writer_rx) = mpsc::channel::<WriterMsg>();
-    // Registration precedes the reader spawn, so the dispatcher always
-    // learns of the connection before its first request.
-    inbox.send(Event::Connect {
-        conn,
-        writer: writer_tx.clone(),
-    });
-
     let writer = {
         let counters = Arc::clone(&conn_counters);
         pram::pool::spawn_worker(format!("net-conn-{conn}-writer"), None, move || {
@@ -357,97 +296,85 @@ fn spawn_connection(
 
     let reader = {
         let shutdown = Arc::clone(shutdown);
-        let inbox = inbox.clone();
+        let runner = Arc::clone(runner);
         let counters = Arc::clone(&conn_counters);
         pram::pool::spawn_worker(format!("net-conn-{conn}-reader"), None, move || {
-            let closed = read_loop(
-                conn,
+            read_loop(
                 stream,
                 max_payload,
                 &shutdown,
-                &inbox,
+                &runner,
                 writer_tx,
                 &counters,
-            );
-            // On shutdown the connection stays registered, so outcomes
-            // still in flight reach its writer during the dispatcher's drain.
-            if closed {
-                inbox.send(Event::Disconnect { conn });
-            }
+            )
         })
     };
     readers.lock().expect("reader list").push(reader);
     Ok(())
 }
 
-/// One connection's request pump: frames off the socket, decoded requests
-/// into the dispatcher's queue. Returns `true` when the connection is
-/// finished (the peer closed it, the codec rejected a frame, or the socket
-/// failed) and `false` when shutdown stopped the read.
+/// One connection's request pump: frames off the socket, each decoded
+/// request submitted with a reply that queues its outcome on this
+/// connection's writer. Returns when the peer closes the connection, the
+/// codec rejects a frame, the socket fails, or shutdown stops the read.
 fn read_loop(
-    conn: u64,
     mut stream: TcpStream,
     max_payload: u32,
     shutdown: &AtomicBool,
-    inbox: &Inbox,
+    runner: &Mutex<ShardedRunner>,
     writer: mpsc::Sender<WriterMsg>,
     counters: &ConnCounters,
-) -> bool {
+) {
     let stop = || shutdown.load(Ordering::Acquire);
     loop {
-        match frame::read_frame(&mut stream, max_payload, &stop) {
+        let (code, message) = match frame::read_frame(&mut stream, max_payload, &stop) {
             Ok(ReadFrame::Frame(FrameKind::Request, payload)) => {
                 match super::codec::decode_request_payload(&payload) {
                     Ok((correlation, request)) => {
                         counters.requests.fetch_add(1, Ordering::Relaxed);
-                        if !inbox.send(Event::Submit {
-                            conn,
-                            correlation,
-                            request,
-                        }) {
-                            return true;
-                        }
-                    }
-                    Err(e) => {
-                        counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        let _ = writer.send(WriterMsg::Error {
-                            correlation: 0,
-                            code: e.code(),
-                            message: e.to_string(),
+                        let writer = writer.clone();
+                        let reply: Reply = Box::new(move |outcome| {
+                            // Fails only once the writer has exited (its
+                            // peer is gone); the outcome is then dropped.
+                            let _ = writer.send(WriterMsg::Outcome {
+                                correlation,
+                                outcome: Box::new(outcome),
+                            });
                         });
-                        return true;
+                        // Held across `submit`'s blocking send into a full
+                        // shard queue: safe because shards take only the
+                        // runner's accounting lock, never this one.
+                        runner
+                            .lock()
+                            .expect(RUNNER_POISONED)
+                            .submit_to(request, Some(reply));
+                        continue;
                     }
+                    Err(e) => (e.code(), e.to_string()),
                 }
             }
+            // Outcome/error frames only flow server → client.
             Ok(ReadFrame::Frame(_, _)) => {
-                // Outcome/error frames only flow server → client.
-                counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = writer.send(WriterMsg::Error {
-                    correlation: 0,
-                    code: 108,
-                    message: "unexpected frame kind on a server connection".into(),
-                });
-                return true;
+                (108, "unexpected frame kind on a server connection".into())
             }
-            Ok(ReadFrame::Eof) => return true,
-            Ok(ReadFrame::Stopped) => return false,
-            Err(crate::Error::Frame(e)) => {
-                counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = writer.send(WriterMsg::Error {
-                    correlation: 0,
-                    code: e.code(),
-                    message: e.to_string(),
-                });
-                return true;
-            }
-            Err(_) => return true, // socket error: the connection is gone
-        }
+            Err(crate::Error::Frame(e)) => (e.code(), e.to_string()),
+            // The peer closed, shutdown stopped the read, or the socket
+            // failed: the connection is gone.
+            Ok(ReadFrame::Eof | ReadFrame::Stopped) | Err(_) => return,
+        };
+        counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        let _ = writer.send(WriterMsg::Error {
+            correlation: 0,
+            code,
+            message,
+        });
+        return;
     }
 }
 
 /// One connection's response pump: encodes and writes every message queued
 /// for this connection, in queue order. Exits when the queue closes (the
-/// reader and the dispatcher have both dropped their senders) or the
+/// reader and every pending reply have dropped their senders) or the
 /// socket dies.
 fn write_loop(mut stream: TcpStream, queue: mpsc::Receiver<WriterMsg>, counters: &ConnCounters) {
     while let Ok(msg) = queue.recv() {
@@ -468,65 +395,4 @@ fn write_loop(mut stream: TcpStream, queue: mpsc::Receiver<WriterMsg>, counters:
         counters.responses.fetch_add(1, Ordering::Relaxed);
     }
     let _ = stream.flush();
-}
-
-/// The dispatcher loop: the single owner of the [`ShardedRunner`]. It
-/// handles one event at a time, hands every completed outcome to its
-/// connection's writer after each, and parks once the queue is empty until
-/// the next event or completion unparks it. After [`Event::Stop`] it keeps
-/// going until every submitted request has been delivered, then returns the
-/// runner's final stats (connection counters are attached by
-/// [`Server::shutdown`]).
-fn dispatch(mut runner: ShardedRunner, events: mpsc::Receiver<Event>) -> ServeStats {
-    let mut writers: BTreeMap<u64, mpsc::Sender<WriterMsg>> = BTreeMap::new();
-    // ticket → (connection, correlation): which socket each outcome goes
-    // back out on, and as which client-side request.
-    let mut routes: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-    let mut stopping = false;
-    loop {
-        match events.try_recv() {
-            Ok(Event::Connect { conn, writer }) => {
-                writers.insert(conn, writer);
-            }
-            Ok(Event::Submit {
-                conn,
-                correlation,
-                request,
-            }) => {
-                let ticket = runner.submit(request);
-                routes.insert(ticket, (conn, correlation));
-            }
-            Ok(Event::Disconnect { conn }) => {
-                // Outcomes still in flight for this connection will find no
-                // writer and be dropped on delivery.
-                writers.remove(&conn);
-            }
-            // Shutdown drain: every submitted request still completes and
-            // is flushed to its connection's writer before the queues close.
-            Ok(Event::Stop) => stopping = true,
-            Err(_) if stopping && runner.outstanding() == 0 => break,
-            // The timeout only bounds how late a dead shard is noticed
-            // (`try_collect_one` panics on one); work always unparks.
-            Err(_) => std::thread::park_timeout(POLL),
-        }
-        while let Some(out) = runner.try_collect_one(Duration::ZERO) {
-            deliver(&writers, &mut routes, out);
-        }
-    }
-    runner.stats()
-}
-
-fn deliver(
-    writers: &BTreeMap<u64, mpsc::Sender<WriterMsg>>,
-    routes: &mut BTreeMap<u64, (u64, u64)>,
-    outcome: SolveOutcome,
-) {
-    if let Some((conn, correlation)) = routes.remove(&outcome.ticket) {
-        if let Some(writer) = writers.get(&conn) {
-            let _ = writer.send(WriterMsg::Outcome {
-                correlation,
-                outcome: Box::new(outcome),
-            });
-        }
-    }
 }

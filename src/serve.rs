@@ -25,7 +25,9 @@
 //! Admitted requests are distributed over per-shard **bounded** queues by the
 //! configured [`RoutePolicy`]: [`ShardedRunner::submit`] blocks once the
 //! target shard's queue is full (backpressure), while results flow back over
-//! an unbounded channel so workers never block.
+//! an unbounded channel so workers never block. (The [`net`](crate::net)
+//! front-end skips that channel: each wire request carries a reply, and the
+//! shard that computes the outcome queues it on the connection's writer.)
 //!
 //! Resident graphs live in a [`ResidentRegistry`] — **epoch-versioned and
 //! mutable mid-stream**. Each resident graph carries an append-only
@@ -184,8 +186,11 @@
 //! Admission decisions are themselves deterministic for a fixed
 //! submit/collect call sequence under `RoundRobin` and `TenantAffinity`
 //! (token buckets refill on *logical* time — submission attempts — and
-//! in-flight counts change only at submit and delivery, both caller-driven).
-//! `LeastQueued` routes by observed queue depth and is therefore
+//! in-flight counts change only at submit and delivery, both caller-driven
+//! in the library). On the [`net`](crate::net) front-end a wire request's
+//! in-flight count drops when its shard hands off the reply, so wire
+//! admission depends on scheduling. `LeastQueued` routes by queue depth,
+//! which each shard decrements as it finishes a request, and is therefore
 //! scheduling-dependent in *placement* (outcomes are still invariant).
 //!
 //! ```
@@ -255,7 +260,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::thread::JoinHandle;
 
 /// Identifies the tenant a [`SolveRequest`] belongs to.
@@ -325,7 +330,7 @@ pub struct TenantQuota {
     /// admission stays replay-deterministic; wall clocks never participate).
     /// `0` disables refill: the tenant gets exactly `burst` admissions.
     pub refill_every: u64,
-    /// Maximum admitted-but-not-yet-collected requests. A submit over the
+    /// Maximum admitted-but-not-yet-delivered requests. A submit over the
     /// cap is denied with [`DenyReason::InFlightCap`]. `None` = uncapped.
     pub max_in_flight: Option<u64>,
 }
@@ -2068,9 +2073,9 @@ impl Default for ServeConfig {
 pub struct ShardStats {
     /// Admitted requests routed to this shard so far.
     pub routed: u64,
-    /// Requests currently queued on or executing in this shard, as observed
-    /// by the collector (decremented when a result *arrives*, so this lags
-    /// actual completion by channel latency).
+    /// Requests currently queued on or executing in this shard. The shard
+    /// decrements it as it finishes each one, whether or not the outcome
+    /// has been collected yet.
     pub in_queue: u64,
 }
 
@@ -2087,8 +2092,8 @@ pub struct TenantStats {
     pub denied_quota: u64,
     /// Requests denied with [`DenyReason::InFlightCap`].
     pub denied_in_flight: u64,
-    /// Outcomes handed to the caller (either collection mode; includes
-    /// denial outcomes).
+    /// Outcomes delivered, as counted by [`ServeStats::delivered`]
+    /// (includes denial outcomes).
     pub delivered: u64,
     /// Shards this tenant's admitted requests were routed to, ascending.
     /// Under [`RoutePolicy::TenantAffinity`] this has at most one entry.
@@ -2120,7 +2125,9 @@ pub struct ServeStats {
     pub admitted: u64,
     /// Total denied requests (both reasons).
     pub denied: u64,
-    /// Total outcomes delivered to the caller.
+    /// Total outcomes delivered: handed to the caller by a collection
+    /// method or, on the [`net`](crate::net) front-end, handed off by the
+    /// shard (or the denying submit) to the connection that asked.
     pub delivered: u64,
     /// Per-shard scheduling counters, indexed by shard.
     pub per_shard: Vec<ShardStats>,
@@ -2161,6 +2168,43 @@ struct Job {
     // the worker so the observation lands in *its shard's* spill ledger,
     // the same place evicted-pin touches land.
     paged_in: bool,
+    // `None` queues the outcome for the collection methods; `Some` hands it
+    // straight to whoever submitted the request.
+    reply: Option<Reply>,
+}
+
+/// Where a request submitted through [`ShardedRunner::submit_to`] sends its
+/// outcome: the [`net`](crate::net) front-end queues it on the connection's
+/// writer, so `serve` never sees a frame.
+pub(crate) type Reply = Box<dyn FnOnce(SolveOutcome) + Send>;
+
+/// The runner's counters, behind one `Mutex` shared with the shards: a
+/// shard counts itself down as it finishes each request and, for a request
+/// submitted with a [`Reply`], records the delivery too. It is the only
+/// lock a shard takes, and `submit` releases it before its blocking send,
+/// so a submitter waiting on a full shard queue cannot stall the shard that
+/// would drain it.
+struct Accounting {
+    delivered: u64,
+    tenants: BTreeMap<TenantId, TenantState>,
+    routed: Vec<u64>,
+    in_queue: Vec<u64>,
+}
+
+const ACCOUNTING_POISONED: &str = "serve: accounting lock poisoned";
+
+impl Accounting {
+    /// Per-delivery bookkeeping, whoever delivers: a collection method, a
+    /// shard calling a reply, or a submit denying a request with one.
+    fn note_delivery(&mut self, out: &SolveOutcome) {
+        self.delivered += 1;
+        let st = self.tenants.entry(out.tenant).or_default();
+        st.delivered += 1;
+        if !matches!(out.error, Some(SolveError::AdmissionDenied { .. })) {
+            // Only admitted requests counted toward the in-flight cap.
+            st.in_flight = st.in_flight.saturating_sub(1);
+        }
+    }
 }
 
 /// Per-tenant admission bookkeeping (see [`AdmissionConfig`]).
@@ -2200,15 +2244,11 @@ pub struct ShardedRunner {
     admission: AdmissionConfig,
     next_ticket: u64,
     next_deliver: u64,
-    delivered_total: u64,
     // Arrived (or locally synthesized) outcomes not yet handed out.
     pending: BTreeMap<u64, SolveOutcome>,
     // Tickets delivered by collect_streaming ahead of the ordered cursor.
     streamed: BTreeSet<u64>,
-    // Per-shard scheduling counters (indexed by shard).
-    routed: Vec<u64>,
-    in_queue: Vec<u64>,
-    tenants: BTreeMap<TenantId, TenantState>,
+    accounting: Arc<Mutex<Accounting>>,
 }
 
 impl ShardedRunner {
@@ -2223,25 +2263,18 @@ impl ShardedRunner {
     pub fn with_pool(
         registry: Arc<ResidentRegistry>,
         config: &ServeConfig,
-        pool: WorkspacePool,
-    ) -> Self {
-        Self::with_wake(registry, config, pool, None)
-    }
-
-    /// [`with_pool`](Self::with_pool), plus a thread every shard unparks
-    /// right after it sends an outcome: a caller that parks between
-    /// [`try_collect_one`](Self::try_collect_one) calls wakes the moment a
-    /// result lands instead of on a timer.
-    pub(crate) fn with_wake(
-        registry: Arc<ResidentRegistry>,
-        config: &ServeConfig,
         mut pool: WorkspacePool,
-        wake: Option<std::thread::Thread>,
     ) -> Self {
         let shards = config.shards.max(1);
         pool.ensure_shards(shards);
         let (result_tx, results) = channel();
         let cancel = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let accounting = Arc::new(Mutex::new(Accounting {
+            delivered: 0,
+            tenants: BTreeMap::new(),
+            routed: vec![0; shards],
+            in_queue: vec![0; shards],
+        }));
         let mut senders = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
         for shard in 0..shards {
@@ -2249,7 +2282,7 @@ impl ShardedRunner {
             let ws = pool.checkout(shard);
             let result_tx = result_tx.clone();
             let cancel = Arc::clone(&cancel);
-            let wake = wake.clone();
+            let accounting = Arc::clone(&accounting);
             let handle = pram::pool::spawn_worker(
                 format!("serve-shard-{shard}"),
                 config.threads_per_shard,
@@ -2260,6 +2293,7 @@ impl ShardedRunner {
                         request,
                         resolved,
                         paged_in,
+                        reply,
                     }) = rx.recv()
                     {
                         // Shutdown: drain the queue without solving it.
@@ -2283,11 +2317,23 @@ impl ShardedRunner {
                         let mut out = execute_resolved(&request, resolved, runner.workspace_mut());
                         out.ticket = ticket;
                         out.shard = shard;
-                        if result_tx.send(out).is_err() {
-                            break;
-                        }
-                        if let Some(waiter) = &wake {
-                            waiter.unpark();
+                        let mut accounting = accounting.lock().expect(ACCOUNTING_POISONED);
+                        accounting.in_queue[shard] -= 1;
+                        match reply {
+                            // The delivery is recorded before the reply goes
+                            // out: a client that resubmits on receipt must
+                            // find its in-flight slot already free.
+                            Some(reply) => {
+                                accounting.note_delivery(&out);
+                                drop(accounting);
+                                reply(out);
+                            }
+                            None => {
+                                drop(accounting);
+                                if result_tx.send(out).is_err() {
+                                    break;
+                                }
+                            }
                         }
                     }
                     runner.into_workspace()
@@ -2307,12 +2353,9 @@ impl ShardedRunner {
             admission: config.admission.clone(),
             next_ticket: 0,
             next_deliver: 0,
-            delivered_total: 0,
             pending: BTreeMap::new(),
             streamed: BTreeSet::new(),
-            routed: vec![0; shards],
-            in_queue: vec![0; shards],
-            tenants: BTreeMap::new(),
+            accounting,
         }
     }
 
@@ -2335,7 +2378,15 @@ impl ShardedRunner {
     /// requests are routed to a shard by the configured [`RoutePolicy`];
     /// this call blocks while the target shard's bounded queue is full
     /// (backpressure).
-    pub fn submit(&mut self, mut request: SolveRequest) -> u64 {
+    pub fn submit(&mut self, request: SolveRequest) -> u64 {
+        self.submit_to(request, None)
+    }
+
+    /// [`submit`](Self::submit), with the outcome going to `reply` (when
+    /// given) instead of to the collection methods: the shard that computes
+    /// it calls `reply` once the delivery is counted, and a denial is
+    /// delivered by this call.
+    pub(crate) fn submit_to(&mut self, mut request: SolveRequest, reply: Option<Reply>) -> u64 {
         // `next_ticket` doubles as the logical clock admission refill runs
         // on: it advances exactly once per submit call, so a replayed
         // submit/collect sequence sees identical bucket states.
@@ -2344,7 +2395,9 @@ impl ShardedRunner {
         self.next_ticket += 1;
         let tenant = request.tenant;
         let quota = self.admission.quota_for(tenant);
-        let st = self.tenants.entry(tenant).or_default();
+        let mut guard = self.accounting.lock().expect(ACCOUNTING_POISONED);
+        let accounting = &mut *guard;
+        let st = accounting.tenants.entry(tenant).or_default();
         st.submitted += 1;
         if let Some(q) = quota {
             if !st.bucket_initialized {
@@ -2379,10 +2432,40 @@ impl ShardedRunner {
                 let mut out = failed(request.seed, SolveError::AdmissionDenied { tenant, reason });
                 out.ticket = ticket;
                 out.tenant = tenant;
-                self.pending.insert(ticket, out);
+                match reply {
+                    Some(reply) => {
+                        accounting.note_delivery(&out);
+                        drop(guard);
+                        reply(out);
+                    }
+                    None => {
+                        self.pending.insert(ticket, out);
+                    }
+                }
                 return ticket;
             }
         }
+        let shard = match self.route {
+            RoutePolicy::RoundRobin => (ticket % self.senders.len() as u64) as usize,
+            RoutePolicy::TenantAffinity => affinity_shard(tenant, self.senders.len()),
+            RoutePolicy::LeastQueued => accounting
+                .in_queue
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &q)| q)
+                .map(|(i, _)| i)
+                .unwrap_or(0),
+        };
+        st.admitted += 1;
+        st.in_flight += 1;
+        if let Err(i) = st.shards.binary_search(&shard) {
+            st.shards.insert(i, shard);
+        }
+        accounting.routed[shard] += 1;
+        accounting.in_queue[shard] += 1;
+        // Released before the blocking send below: the shard that must make
+        // room in its queue takes this lock as it finishes.
+        drop(guard);
         // Resolve the target snapshot *now*, on the caller thread: the
         // logical submission order decides which epoch a request sees, never
         // the race between a shard dequeue and a concurrent
@@ -2400,43 +2483,26 @@ impl ShardedRunner {
             // Echo the concrete epoch into the pin so the outcome reports it.
             request.pin = EpochPin::At(snap.epoch());
         }
-        let shard = match self.route {
-            RoutePolicy::RoundRobin => (ticket % self.senders.len() as u64) as usize,
-            RoutePolicy::TenantAffinity => affinity_shard(tenant, self.senders.len()),
-            RoutePolicy::LeastQueued => self
-                .in_queue
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &q)| q)
-                .map(|(i, _)| i)
-                .unwrap_or(0),
-        };
-        let st = self
-            .tenants
-            .get_mut(&tenant)
-            .expect("tenant state just created");
-        st.admitted += 1;
-        st.in_flight += 1;
-        if let Err(i) = st.shards.binary_search(&shard) {
-            st.shards.insert(i, shard);
-        }
-        self.routed[shard] += 1;
-        self.in_queue[shard] += 1;
         self.senders[shard]
             .send(Job {
                 ticket,
                 request,
                 resolved,
                 paged_in,
+                reply,
             })
             .expect("serve: worker shard disconnected (a worker thread panicked)");
         ticket
     }
 
     /// Number of submitted requests not yet delivered by either collection
-    /// mode.
+    /// mode (or, on the [`net`](crate::net) front-end, to their replies).
     pub fn outstanding(&self) -> u64 {
-        self.next_ticket - self.delivered_total
+        self.next_ticket - self.accounting().delivered
+    }
+
+    fn accounting(&self) -> MutexGuard<'_, Accounting> {
+        self.accounting.lock().expect(ACCOUNTING_POISONED)
     }
 
     /// Blocks for the next arrival from any shard, with worker-liveness
@@ -2446,12 +2512,12 @@ impl ShardedRunner {
     /// liveness on every timeout — during serving no worker thread finishes
     /// except by panicking.
     fn recv_one(&mut self) -> SolveOutcome {
-        let out = loop {
+        loop {
             match self
                 .results
                 .recv_timeout(std::time::Duration::from_millis(50))
             {
-                Ok(out) => break out,
+                Ok(out) => return out,
                 Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
                     if let Some((shard, _)) = self.workers.iter().find(|(_, h)| h.is_finished()) {
                         panic!(
@@ -2464,19 +2530,6 @@ impl ShardedRunner {
                     panic!("serve: all workers disconnected with outcomes outstanding")
                 }
             }
-        };
-        self.in_queue[out.shard] = self.in_queue[out.shard].saturating_sub(1);
-        out
-    }
-
-    /// Per-delivery bookkeeping shared by both collection modes.
-    fn note_delivery(&mut self, out: &SolveOutcome) {
-        self.delivered_total += 1;
-        let st = self.tenants.entry(out.tenant).or_default();
-        st.delivered += 1;
-        if !matches!(out.error, Some(SolveError::AdmissionDenied { .. })) {
-            // Only admitted requests counted toward the in-flight cap.
-            st.in_flight = st.in_flight.saturating_sub(1);
         }
     }
 
@@ -2514,14 +2567,14 @@ impl ShardedRunner {
             }
             if let Some(out) = self.pending.remove(&self.next_deliver) {
                 self.next_deliver += 1;
-                self.note_delivery(&out);
+                self.accounting().note_delivery(&out);
                 delivered.push(out);
                 continue;
             }
             let out = self.recv_one();
             if out.ticket == self.next_deliver {
                 self.next_deliver += 1;
-                self.note_delivery(&out);
+                self.accounting().note_delivery(&out);
                 delivered.push(out);
             } else {
                 self.pending.insert(out.ticket, out);
@@ -2563,49 +2616,6 @@ impl ShardedRunner {
         }
     }
 
-    /// Non-blocking flavour of streaming collection: yields the next
-    /// completed outcome if one is buffered or arrives within `timeout`,
-    /// `None` otherwise (including when nothing is outstanding). Delivered
-    /// tickets are recorded exactly like
-    /// [`collect_streaming`](Self::collect_streaming), so the two modes and
-    /// [`collect_ordered`](Self::collect_ordered) interoperate on one
-    /// runner. The [`net`](crate::net) dispatcher drains completions with a
-    /// zero timeout each time a shard wakes it, between submissions, so
-    /// decoded requests keep flowing into the shards while earlier
-    /// responses stream back out.
-    ///
-    /// # Panics
-    /// Panics if a worker died with outcomes outstanding.
-    pub fn try_collect_one(&mut self, timeout: std::time::Duration) -> Option<SolveOutcome> {
-        if self.outstanding() == 0 {
-            return None;
-        }
-        let out = match self.pending.pop_first() {
-            Some((_, out)) => out,
-            None => match self.results.recv_timeout(timeout) {
-                Ok(out) => {
-                    self.in_queue[out.shard] = self.in_queue[out.shard].saturating_sub(1);
-                    out
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    if let Some((shard, _)) = self.workers.iter().find(|(_, h)| h.is_finished()) {
-                        panic!(
-                            "serve: worker shard {shard} died with {} outcomes outstanding",
-                            self.outstanding()
-                        );
-                    }
-                    return None;
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                    panic!("serve: all workers disconnected with outcomes outstanding")
-                }
-            },
-        };
-        self.mark_streamed(out.ticket);
-        self.note_delivery(&out);
-        Some(out)
-    }
-
     /// Collects everything still outstanding, in ticket order.
     pub fn collect_outstanding(&mut self) -> Vec<SolveOutcome> {
         self.collect_ordered(self.outstanding() as usize)
@@ -2642,16 +2652,18 @@ impl ShardedRunner {
     /// A point-in-time [`ServeStats`] report: total and per-tenant
     /// submissions, admissions, denials and deliveries, plus per-shard
     /// routing counters. Under `RoundRobin`/`TenantAffinity` routing the
-    /// report is a pure function of the submit/collect call sequence, so it
-    /// is replay-deterministic like the outcomes themselves.
+    /// report, except [`ShardStats::in_queue`] (which follows the shards'
+    /// progress), is a pure function of the submit/collect call sequence, so
+    /// it is replay-deterministic like the outcomes themselves.
     pub fn stats(&self) -> ServeStats {
-        let per_shard = (0..self.senders.len())
-            .map(|s| ShardStats {
-                routed: self.routed[s],
-                in_queue: self.in_queue[s],
-            })
+        let accounting = self.accounting();
+        let per_shard = accounting
+            .routed
+            .iter()
+            .zip(&accounting.in_queue)
+            .map(|(&routed, &in_queue)| ShardStats { routed, in_queue })
             .collect();
-        let per_tenant: Vec<TenantStats> = self
+        let per_tenant: Vec<TenantStats> = accounting
             .tenants
             .iter()
             .map(|(&tenant, st)| TenantStats {
@@ -2669,18 +2681,33 @@ impl ShardedRunner {
             submitted: self.next_ticket,
             admitted: per_tenant.iter().map(|t| t.admitted).sum(),
             denied: per_tenant.iter().map(|t| t.denied()).sum(),
-            delivered: self.delivered_total,
+            delivered: accounting.delivered,
             per_shard,
             per_tenant,
             connections: Vec::new(),
         }
     }
 
+    /// Closes the shard queues *without* cancelling them, so every request
+    /// already submitted is solved, and each submitted with a reply is
+    /// delivered to it, before this returns the final
+    /// [`stats`](Self::stats). [`shutdown`](Self::shutdown), by contrast,
+    /// discards queued work.
+    pub(crate) fn finish(&mut self) -> ServeStats {
+        self.join_workers();
+        self.stats()
+    }
+
     fn shutdown_workers(&mut self) {
-        // Tell workers to drain instead of solve, then end their recv loops
-        // by dropping the senders.
+        // Tell workers to drain instead of solve before their queues close.
         self.cancel
             .store(true, std::sync::atomic::Ordering::Release);
+        self.join_workers();
+    }
+
+    /// Ends the workers' recv loops by dropping the senders, and checks
+    /// each shard's workspace back in.
+    fn join_workers(&mut self) {
         self.senders.clear();
         for (shard, handle) in self.workers.drain(..) {
             if let Ok(ws) = handle.join() {
@@ -2719,7 +2746,7 @@ impl Iterator for StreamingCollect<'_> {
             None => self.runner.recv_one(),
         };
         self.runner.mark_streamed(out.ticket);
-        self.runner.note_delivery(&out);
+        self.runner.accounting().note_delivery(&out);
         Some(out)
     }
 
@@ -3025,6 +3052,53 @@ mod tests {
         let id = reg.open_mapped(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         let _ = reg.latest(id);
+    }
+
+    // A reply runs only once its delivery is counted, on the shard and on
+    // the denying submit alike: a client that resubmits the moment a reply
+    // arrives must find its in-flight slot already free.
+    #[test]
+    fn a_reply_runs_after_its_delivery_is_counted() {
+        let mut registry = ResidentRegistry::new();
+        let id = registry.register(tiny());
+        let quota = TenantQuota {
+            burst: 1,
+            refill_every: 0,
+            max_in_flight: Some(1),
+        };
+        let config = ServeConfig {
+            shards: 1,
+            threads_per_shard: Some(1),
+            admission: AdmissionConfig {
+                default_quota: Some(quota),
+                per_tenant: Vec::new(),
+            },
+            ..ServeConfig::default()
+        };
+        let mut runner = ShardedRunner::new(Arc::new(registry), &config);
+        let (tx, rx) = channel();
+        // The first request is admitted and answered by the shard; the
+        // second finds the bucket empty and is answered by `submit_to`.
+        for (seed, expected) in [
+            (0, (None, 1, 0)),
+            (1, (Some(DenyReason::QuotaExhausted), 2, 0)),
+        ] {
+            let accounting = Arc::clone(&runner.accounting);
+            let tx = tx.clone();
+            let reply: Reply = Box::new(move |out| {
+                let accounting = accounting.lock().expect("accounting");
+                let reason = match out.error {
+                    Some(SolveError::AdmissionDenied { reason, .. }) => Some(reason),
+                    _ => None,
+                };
+                let in_flight = accounting.tenants[&out.tenant].in_flight;
+                tx.send((reason, accounting.delivered, in_flight))
+                    .expect("test receiver");
+            });
+            runner.submit_to(SolveRequest::for_graph(id).seed(seed).build(), Some(reply));
+            assert_eq!(rx.recv().expect("a reply"), expected, "request {seed}");
+        }
+        assert_eq!(runner.outstanding(), 0);
     }
 
     // One copy per resident graph: every path that publishes a snapshot

@@ -514,8 +514,8 @@ fn loopback_matches_in_process_four_shards() {
     loopback_matches_in_process(4);
 }
 
-/// Graceful shutdown completes every request the dispatcher has accepted
-/// and flushes the responses; the client can still read them afterwards.
+/// Graceful shutdown completes every request a reader has submitted and
+/// flushes the responses; the client can still read them afterwards.
 #[test]
 fn shutdown_drains_in_flight_requests() {
     let (registry, a, b) = registry();
@@ -544,8 +544,8 @@ fn shutdown_drains_in_flight_requests() {
 }
 
 /// A reply still being computed when shutdown begins reaches its client:
-/// stopping the server must not unregister the connection before the
-/// dispatcher's drain hands the outcome to its writer.
+/// stopping the server must not close the connection's writer before the
+/// shard hands it the outcome.
 #[test]
 fn shutdown_flushes_a_reply_still_computing() {
     let mut registry = ResidentRegistry::new();
@@ -589,9 +589,9 @@ fn shutdown_flushes_a_reply_still_computing() {
 }
 
 /// A finished outcome goes out as soon as its shard completes it, not on
-/// a dispatcher timer: one request at a time, a tiny induced solve comes
-/// back well inside a millisecond. (A dispatcher that polls for
-/// completions every 1 ms puts the median above 1 ms; unoptimised,
+/// a timer: one request at a time, a tiny induced solve comes back well
+/// inside a millisecond. (A front-end that polls for completions every
+/// 1 ms puts the median above 1 ms; unoptimised,
 /// this one takes about 0.3 ms. The queries have 8 vertices because an
 /// unoptimised 24-vertex solve alone brings the median near 1 ms.)
 #[test]
@@ -624,6 +624,178 @@ fn replies_do_not_wait_for_a_poll_tick() {
         round_trips[round_trips.len() - 1]
     );
     server.shutdown();
+}
+
+/// Admission control holds over the wire. A denial comes back as an
+/// ordinary outcome frame, and a tenant capped at one request in flight is
+/// never denied while its client waits for each reply: the delivery is
+/// counted before the reply goes out.
+#[test]
+fn admission_travels_the_wire() {
+    let (registry, _a, b) = registry();
+    let mut config = loopback_config(1);
+    config.serve.admission.per_tenant = vec![
+        (
+            TenantId(7),
+            TenantQuota {
+                burst: 2,
+                refill_every: 0,
+                max_in_flight: None,
+            },
+        ),
+        (
+            TenantId(8),
+            TenantQuota {
+                burst: u64::MAX,
+                refill_every: 0,
+                max_in_flight: Some(1),
+            },
+        ),
+    ];
+    let server =
+        Server::bind("127.0.0.1:0", Arc::clone(&registry), &config).expect("bind loopback");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut reference = BatchRunner::new();
+    for (tenant, count) in [(7u64, 3u64), (8, 64)] {
+        for i in 0..count {
+            let request = SolveRequest::induced(b, query(120, 8, i))
+                .algorithm(Algorithm::Bl(BlConfig::default()))
+                .seed(i)
+                .tenant(TenantId(tenant))
+                .build();
+            let c = client.submit(&request).expect("submit");
+            let reply = client.recv().expect("recv");
+            assert_eq!(reply.correlation, c);
+            if tenant == 7 && i == 2 {
+                assert_eq!(
+                    reply.outcome.error,
+                    Some(SolveError::AdmissionDenied {
+                        tenant: TenantId(7),
+                        reason: DenyReason::QuotaExhausted,
+                    })
+                );
+            } else {
+                assert_eq!(
+                    reply.outcome.fingerprint(),
+                    reference.solve(&registry, &request).fingerprint(),
+                    "tenant {tenant}, request {i}"
+                );
+            }
+        }
+    }
+    let stats = server.shutdown();
+    let counts = |tenant: u64| {
+        let t = stats
+            .per_tenant
+            .iter()
+            .find(|t| t.tenant == TenantId(tenant))
+            .expect("tenant stats");
+        (
+            t.submitted,
+            t.admitted,
+            t.denied_quota,
+            t.denied_in_flight,
+            t.delivered,
+        )
+    };
+    assert_eq!(counts(7), (3, 2, 1, 0, 3));
+    assert_eq!(counts(8), (64, 64, 0, 0, 64));
+    assert_eq!(stats.delivered, 67);
+}
+
+/// Full SBL solves on `a` alternating with 40-vertex BL induced queries on
+/// `b`: work heavy enough to keep a shard busy while the wire moves.
+fn sbl_and_bl_requests(a: GraphId, b: GraphId, count: u64) -> Vec<SolveRequest> {
+    (0..count)
+        .map(|i| {
+            let builder = if i % 2 == 0 {
+                SolveRequest::for_graph(a).algorithm(Algorithm::Sbl(SblConfig::default()))
+            } else {
+                SolveRequest::induced(b, query(120, 40, i))
+                    .algorithm(Algorithm::Bl(BlConfig::default()))
+            };
+            builder.seed(0x4A46_0000 + i).build()
+        })
+        .collect()
+}
+
+/// A client that pipelines requests and hangs up without reading leaves
+/// replies with nowhere to go; they are dropped, and a second client's
+/// round trips come back whole and identical to the in-process answers.
+#[test]
+fn a_client_that_hangs_up_mid_flight_costs_the_others_nothing() {
+    let (registry, a, b) = registry();
+    let requests = sbl_and_bl_requests(a, b, 16);
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&registry), &loopback_config(2))
+        .expect("bind loopback");
+    let mut quitter = Client::connect(server.local_addr()).expect("connect quitter");
+    for request in &requests {
+        quitter.submit(request).expect("submit");
+    }
+    drop(quitter);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut reference = BatchRunner::new();
+    for request in &requests {
+        let c = client.submit(request).expect("submit");
+        let reply = client.recv().expect("recv");
+        assert_eq!(reply.correlation, c);
+        assert_eq!(
+            reply.outcome.fingerprint(),
+            reference.solve(&registry, request).fingerprint()
+        );
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.delivered, stats.submitted);
+    let connection = |id: u64| stats.connections.iter().find(|c| c.connection == id);
+    // The quitter's close can reset its socket before every request is read.
+    if let Some(quitter) = connection(0) {
+        assert!(quitter.requests <= 16, "{quitter:?}");
+    }
+    let second = connection(1).expect("second connection");
+    assert_eq!((second.requests, second.responses), (16, 16));
+}
+
+/// With the one shard's queue full, the reader feeding it waits in
+/// `submit` while holding the runner lock, but the shard keeps replying:
+/// a second client's round trips complete, and the first client then reads
+/// all its replies.
+#[test]
+fn a_full_shard_queue_stalls_readers_not_replies() {
+    let (registry, a, b) = registry();
+    let requests = sbl_and_bl_requests(a, b, 32);
+    let mut config = loopback_config(1);
+    config.serve.queue_depth = 1;
+    let server =
+        Server::bind("127.0.0.1:0", Arc::clone(&registry), &config).expect("bind loopback");
+    let mut pipeliner = Client::connect(server.local_addr()).expect("connect pipeliner");
+    let mut pipelined = BTreeMap::new();
+    for request in &requests {
+        let c = pipeliner.submit(request).expect("submit");
+        pipelined.insert(c, request);
+    }
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut reference = BatchRunner::new();
+    for request in &requests[..4] {
+        let c = client.submit(request).expect("submit");
+        let reply = client.recv().expect("recv");
+        assert_eq!(reply.correlation, c);
+        assert_eq!(
+            reply.outcome.fingerprint(),
+            reference.solve(&registry, request).fingerprint()
+        );
+    }
+    for _ in 0..requests.len() {
+        let reply = pipeliner.recv().expect("recv pipelined");
+        let request = pipelined.remove(&reply.correlation).expect("known id");
+        assert_eq!(
+            reply.outcome.fingerprint(),
+            reference.solve(&registry, request).fingerprint(),
+            "correlation {}",
+            reply.correlation
+        );
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.delivered, 36);
 }
 
 // ---------------------------------------------------------------------------
@@ -696,8 +868,8 @@ fn hostile_connections_get_an_error_frame_then_close() {
     }
 }
 
-/// Two concurrent connections get their replies routed by ticket back to
-/// the right socket, and both show up in the per-connection stats.
+/// Two concurrent connections get their replies routed back to the right
+/// socket, and both show up in the per-connection stats.
 #[test]
 fn replies_route_to_the_connection_that_asked() {
     let (registry, a, b) = registry();
