@@ -29,13 +29,21 @@
 //! its lowest-degree vertex, removed base edge ids and appended edges are
 //! recorded in side tables sized by the script, and the new edge CSR is
 //! written in one pass (runs of surviving edges copied with shifted
-//! offsets, then the appended edges) before the incidence index is rebuilt
-//! with the arena's counting sort.
+//! offsets, then the appended edges). The incidence index is patched from
+//! the old one in one more pass: every run of vertices the script did not
+//! touch is copied with its offsets shifted by one constant and its edge
+//! ids renumbered, and only the vertices of removed or appended edges get
+//! their lists rewritten.
+//!
+//! An [`EditLog`] keeps a resident graph's applied edits in one flat
+//! vector of words, so logging an edit allocates nothing of its own.
 //!
 //! [`HypergraphBuilder::add_edge`]: crate::builder::HypergraphBuilder::add_edge
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::iter::once;
+use std::ops::{Bound, RangeBounds};
 
 use crate::graph::{EdgeId, Hypergraph, VertexId};
 
@@ -129,6 +137,115 @@ impl GraphEdit {
     }
 }
 
+/// An append-only log of [`GraphEdit`]s, stored flat in one vector of
+/// words: per edit, a header word (the payload's length times four plus
+/// the kind), then the payload. An add or remove keeps its vertex list
+/// exactly as given (un-normalized), like [`GraphEdit::encode_line`] writes
+/// it, so [`decode`](Self::decode) returns the very edits that were
+/// logged; a grow keeps its count. Every 64th edit's header position is
+/// marked, so decoding a range skips at most 63 headers to reach it.
+///
+/// # Example
+/// ```
+/// use hypergraph::edit::{EditLog, GraphEdit};
+///
+/// let batch = [GraphEdit::GrowVertices(2), GraphEdit::AddEdge(vec![5, 4, 4])];
+/// let mut log = EditLog::default();
+/// log.extend(&batch);
+/// assert_eq!(log.len(), 2);
+/// assert_eq!(log.decode(..), batch);
+/// assert_eq!(log.decode(1..), batch[1..]);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EditLog {
+    /// Each edit's header word followed by its payload.
+    words: Vec<u32>,
+    /// `marks[k]` is where edit `k * MARK_EVERY`'s header sits in `words`.
+    marks: Vec<usize>,
+    /// Number of edits logged.
+    len: usize,
+}
+
+const MARK_EVERY: usize = 64;
+const ADD: u32 = 0;
+const REMOVE: u32 = 1;
+const GROW: u32 = 2;
+
+impl EditLog {
+    /// Number of edits logged.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no edit is logged.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The logged edits at positions `range`, in log order.
+    ///
+    /// # Panics
+    /// Panics if `range` reaches past [`len`](Self::len).
+    pub fn decode(&self, range: impl RangeBounds<usize>) -> Vec<GraphEdit> {
+        let first = match range.start_bound() {
+            Bound::Included(&i) => i,
+            Bound::Excluded(&i) => i + 1,
+            Bound::Unbounded => 0,
+        };
+        let end = match range.end_bound() {
+            Bound::Included(&i) => i + 1,
+            Bound::Excluded(&i) => i,
+            Bound::Unbounded => self.len,
+        };
+        assert!(
+            first <= end && end <= self.len,
+            "edits {first}..{end} are not in a log of {}",
+            self.len
+        );
+        let payload_len = |at: usize| (self.words[at] / 4) as usize;
+        let mark = first / MARK_EVERY;
+        let mut at = self.marks.get(mark).copied().unwrap_or(self.words.len());
+        for _ in mark * MARK_EVERY..first {
+            at += 1 + payload_len(at);
+        }
+        (first..end)
+            .map(|_| {
+                let kind = self.words[at] % 4;
+                let payload = &self.words[at + 1..at + 1 + payload_len(at)];
+                at += 1 + payload.len();
+                match kind {
+                    ADD => GraphEdit::AddEdge(payload.to_vec()),
+                    REMOVE => GraphEdit::RemoveEdge(payload.to_vec()),
+                    _ => GraphEdit::GrowVertices(payload[0]),
+                }
+            })
+            .collect()
+    }
+}
+
+impl<'a> Extend<&'a GraphEdit> for EditLog {
+    fn extend<I: IntoIterator<Item = &'a GraphEdit>>(&mut self, edits: I) {
+        for edit in edits {
+            if self.len.is_multiple_of(MARK_EVERY) {
+                self.marks.push(self.words.len());
+            }
+            let (kind, payload) = match edit {
+                GraphEdit::AddEdge(vs) => (ADD, vs.as_slice()),
+                GraphEdit::RemoveEdge(vs) => (REMOVE, vs.as_slice()),
+                GraphEdit::GrowVertices(extra) => (GROW, std::slice::from_ref(extra)),
+            };
+            // Only a vertex list of 4 GiB or more overflows the header.
+            let header = u32::try_from(payload.len())
+                .ok()
+                .and_then(|len| len.checked_mul(4))
+                .expect("an edit lists fewer than 2^30 vertices");
+            self.words.push(header + kind);
+            self.words.extend_from_slice(payload);
+            self.len += 1;
+        }
+    }
+}
+
 /// Why an edit script could not be applied. The graph is never partially
 /// modified: [`apply_edits`] validates as it goes and returns the input
 /// graph's state untouched on the first offending edit.
@@ -205,8 +322,10 @@ fn normalize(vertices: &[VertexId], n: u32) -> Result<Vec<VertexId>, EditError> 
 /// remaining copy, and `e` then counts as absent until it is re-added, even
 /// if another copy remains.
 ///
-/// Costs one pass over `h`'s CSR arrays plus one incidence lookup per edit
-/// (through the edge's lowest-degree vertex), with no per-edge allocation.
+/// Costs one pass over `h`'s edge CSR and one over its incidence index,
+/// plus one incidence lookup per edit (through the edge's lowest-degree
+/// vertex) and O(log k) bookkeeping per edit of a k-edit script, with no
+/// per-edge allocation.
 ///
 /// # Errors
 /// Returns the first [`EditError`] in script order; on error nothing is
@@ -234,46 +353,50 @@ fn normalize(vertices: &[VertexId], n: u32) -> Result<Vec<VertexId>, EditError> 
 /// ```
 pub fn apply_edits(h: &Hypergraph, edits: &[GraphEdit]) -> Result<Hypergraph, EditError> {
     let mut n = h.n_vertices() as u32;
-    // Presence of every edge the script has touched; an untouched edge is
-    // present iff the base holds a copy of it.
-    let mut touched: BTreeMap<Vec<VertexId>, bool> = BTreeMap::new();
+    // Every edge the script has touched; an untouched edge is present iff
+    // the base holds a copy of it.
+    let mut touched: BTreeMap<Vec<VertexId>, Touched> = BTreeMap::new();
     let mut removed: BTreeSet<EdgeId> = BTreeSet::new();
-    let mut added: Vec<Vec<VertexId>> = Vec::new();
+    // Appended edges in script order; `None` marks one a later edit removed.
+    let mut added: Vec<Option<Vec<VertexId>>> = Vec::new();
     for edit in edits {
         match edit {
             GraphEdit::AddEdge(vs) => {
                 let e = normalize(vs, n)?;
                 let present = match touched.get(&e) {
-                    Some(&present) => present,
+                    Some(t) => t.present,
                     None => live_base_copy(h, &e, &removed).is_some(),
                 };
                 if present {
                     return Err(EditError::DuplicateEdge(e));
                 }
-                touched.insert(e.clone(), true);
-                added.push(e);
+                added.push(Some(e.clone()));
+                let t = touched.entry(e).or_default();
+                t.present = true;
+                t.appended.push_back(added.len() - 1);
             }
             GraphEdit::RemoveEdge(vs) => {
                 let e = normalize(vs, n)?;
                 // Surviving base edges precede the appended ones, so the
                 // first remaining copy is a base copy whenever one is left.
                 let base_copy = live_base_copy(h, &e, &removed);
-                if !touched.get(&e).copied().unwrap_or(base_copy.is_some()) {
+                if !touched.get(&e).map_or(base_copy.is_some(), |t| t.present) {
                     return Err(EditError::NoSuchEdge(e));
                 }
+                let t = touched.entry(e).or_default();
+                t.present = false;
                 match base_copy {
                     Some(id) => {
                         removed.insert(id);
                     }
                     None => {
-                        let i = added
-                            .iter()
-                            .position(|x| *x == e)
+                        let slot = t
+                            .appended
+                            .pop_front()
                             .expect("a present edge with no base copy was appended");
-                        added.remove(i);
+                        added[slot] = None;
                     }
                 }
-                touched.insert(e, false);
             }
             GraphEdit::GrowVertices(extra) => {
                 n = n
@@ -284,6 +407,7 @@ pub fn apply_edits(h: &Hypergraph, edits: &[GraphEdit]) -> Result<Hypergraph, Ed
     }
 
     let (eo, ev) = h.edge_csr();
+    let added: Vec<Vec<VertexId>> = added.into_iter().flatten().collect();
     let removed_len: usize = removed.iter().map(|&id| h.edge_len(id)).sum();
     let added_len: usize = added.iter().map(Vec::len).sum();
     let mut offsets = Vec::with_capacity(h.n_edges() - removed.len() + added.len() + 1);
@@ -295,7 +419,7 @@ pub fn apply_edits(h: &Hypergraph, edits: &[GraphEdit]) -> Result<Hypergraph, Ed
     for end in removed
         .iter()
         .map(|&id| id as usize)
-        .chain(std::iter::once(h.n_edges()))
+        .chain(once(h.n_edges()))
     {
         let (lo, hi) = (eo[start], eo[end]);
         let shift = lo - vertices.len() as u32;
@@ -307,7 +431,119 @@ pub fn apply_edits(h: &Hypergraph, edits: &[GraphEdit]) -> Result<Hypergraph, Ed
         vertices.extend_from_slice(e);
         offsets.push(vertices.len() as u32);
     }
-    Ok(Hypergraph::from_edge_csr(n, offsets, vertices))
+    let dim = offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+    let (inc_offsets, incident) = patch_incidence(h, n, &removed, &added, vertices.len());
+    Ok(Hypergraph::from_validated_csr(
+        n,
+        dim,
+        offsets.into(),
+        vertices.into(),
+        inc_offsets.into(),
+        incident.into(),
+    ))
+}
+
+/// What a script has done so far to one normalized edge.
+#[derive(Default)]
+struct Touched {
+    /// Whether the edge counts as present.
+    present: bool,
+    /// Where the edge's live appended copies sit in `apply_edits`' table of
+    /// appended edges, earliest first: a remove that finds no base copy
+    /// tombstones the front one.
+    appended: VecDeque<usize>,
+}
+
+/// The incidence index of the graph that drops the `removed` base edges of
+/// `h`, appends `added` and has `n` vertices and `total` incidences,
+/// patched from `h`'s index in one pass: lists come out ascending, exactly
+/// as a counting sort over the new edge CSR would lay them out.
+///
+/// A surviving edge's new id is its old id minus the removed ids below it,
+/// and the `j`-th appended edge's id follows the survivors. Only the
+/// vertices of removed or appended edges are rewritten (removed ids
+/// filtered out, appended ids added at the end); every run of other
+/// vertices is copied with its ids renumbered and its offsets shifted by
+/// one constant, and grown vertices outside appended edges get empty lists.
+fn patch_incidence(
+    h: &Hypergraph,
+    n: u32,
+    removed: &BTreeSet<EdgeId>,
+    added: &[Vec<VertexId>],
+    total: usize,
+) -> (Vec<u32>, Vec<EdgeId>) {
+    const GONE: EdgeId = EdgeId::MAX;
+    let (io, inc) = h.incidence_csr();
+    let (m, old_n, n) = (h.n_edges(), h.n_vertices(), n as usize);
+
+    // Old edge id -> new id, `GONE` for a removed one.
+    let mut renumber: Vec<EdgeId> = Vec::with_capacity(m);
+    for (below, end) in removed
+        .iter()
+        .map(|&id| id as usize)
+        .chain(once(m))
+        .enumerate()
+    {
+        let start = renumber.len() as EdgeId;
+        renumber.extend((start..end as EdgeId).map(|id| id - below as EdgeId));
+        if end < m {
+            renumber.push(GONE);
+        }
+    }
+    let survivors = (m - removed.len()) as EdgeId;
+    // (vertex, new id) of every appended edge, ascending: each vertex's
+    // appended ids in order.
+    let mut appended: Vec<(VertexId, EdgeId)> = (survivors..)
+        .zip(added)
+        .flat_map(|(id, e)| e.iter().map(move |&v| (v, id)))
+        .collect();
+    appended.sort_unstable();
+    let mut rewritten: Vec<VertexId> = removed
+        .iter()
+        .flat_map(|&id| h.edge(id).iter().copied())
+        .chain(appended.iter().map(|&(v, _)| v))
+        .collect();
+    rewritten.sort_unstable();
+    rewritten.dedup();
+
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut incident = Vec::with_capacity(total);
+    offsets.push(0u32);
+    let mut appended = appended.into_iter().peekable();
+    // Vertices below `next` are written: `offsets.len() == next + 1`.
+    let mut next = 0;
+    for v in rewritten.iter().map(|&v| v as usize).chain(once(n)) {
+        let run_end = v.min(old_n);
+        if next < run_end {
+            let (lo, hi) = (io[next], io[run_end]);
+            let at = incident.len() as u32;
+            offsets.extend(io[next + 1..=run_end].iter().map(|&o| o - lo + at));
+            incident.extend(
+                inc[lo as usize..hi as usize]
+                    .iter()
+                    .map(|&id| renumber[id as usize]),
+            );
+        }
+        // Grown vertices before `v` that no appended edge reaches.
+        offsets.resize(v + 1, incident.len() as u32);
+        if v == n {
+            break;
+        }
+        if v < old_n {
+            let list = &inc[io[v] as usize..io[v + 1] as usize];
+            incident.extend(
+                list.iter()
+                    .map(|&id| renumber[id as usize])
+                    .filter(|&id| id != GONE),
+            );
+        }
+        while let Some((_, id)) = appended.next_if(|&(u, _)| u as usize == v) {
+            incident.push(id);
+        }
+        offsets.push(incident.len() as u32);
+        next = v + 1;
+    }
+    (offsets, incident)
 }
 
 /// The lowest-id base edge equal to the normalized edge `e` that the script
@@ -481,6 +717,111 @@ mod tests {
                 prop_assert_eq!(&csr_from_bytes(&csr_to_bytes(g)).unwrap(), g);
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        /// The same oracle on bases of 64–2048 vertices with up to 2n edges
+        /// (a few of them duplicated), edited by 1–16 always-valid specs:
+        /// most vertices then sit in untouched runs of the patched
+        /// incidence, and grown vertices fall between rewritten ones.
+        #[test]
+        fn csr_apply_matches_the_btreeset_oracle_on_large_bases(
+            (n, raw_edges) in (64u32..=2048).prop_flat_map(|n| (
+                prop::strategy::Just(n),
+                prop::collection::vec(prop::collection::vec(0..n, 1..4), 0..=2 * n as usize),
+            )),
+            copies in prop::collection::vec((any::<usize>(), any::<usize>()), 0..8),
+            specs in prop::collection::vec(
+                (4u8..40, prop::collection::vec(any::<u32>(), 0..4), any::<usize>()),
+                1..=16,
+            ),
+        ) {
+            let mut raw_edges = raw_edges;
+            for (from, to) in copies {
+                if let Some(e) = raw_edges.get(from % raw_edges.len().max(1)).cloned() {
+                    raw_edges.insert(to % raw_edges.len(), e);
+                }
+            }
+            let h = base_with_duplicates(n, &raw_edges);
+            let script = script_from(&h, &specs);
+            let got = apply_edits(&h, &script);
+            prop_assert_eq!(&got, &apply_edits_reference(&h, &script));
+            let g = got.unwrap();
+            prop_assert_eq!(&csr_from_bytes(&csr_to_bytes(&g)).unwrap(), &g);
+        }
+    }
+
+    /// Removing an appended edge tombstones its slot instead of shifting
+    /// the ones after it: a script of 4096 adds interleaved with removes of
+    /// appended edges, oldest and newest, answers like the oracle. Its
+    /// prefix leaves two live appended copies of a doubled base edge, and
+    /// the next remove must take the earlier one.
+    #[test]
+    fn interleaved_adds_and_removes_of_appended_edges_match_the_oracle() {
+        const K: u32 = 4096;
+        let h = base_with_duplicates(4, &[vec![0, 1], vec![2, 3], vec![0, 1]]);
+        let doubled = || vec![0, 1];
+        let mut script = vec![
+            GraphEdit::RemoveEdge(doubled()), // base copy 0
+            GraphEdit::AddEdge(doubled()),    // appended copy A
+            GraphEdit::RemoveEdge(doubled()), // base copy 2
+            GraphEdit::AddEdge(doubled()),    // appended copy B
+            GraphEdit::RemoveEdge(doubled()), // A, not B
+            GraphEdit::GrowVertices(K),
+        ];
+        let edge = |i: u32| vec![i % 4, 4 + i];
+        for i in 0..K {
+            script.push(GraphEdit::AddEdge(edge(i)));
+            if i % 2 == 1 {
+                script.push(GraphEdit::RemoveEdge(edge(i / 2)));
+            }
+        }
+        for i in (K / 2..K).rev().step_by(3) {
+            script.push(GraphEdit::RemoveEdge(edge(i)));
+        }
+        let got = apply_edits(&h, &script).unwrap();
+        assert!(got == apply_edits_reference(&h, &script).unwrap());
+        assert_eq!(
+            got.edge(1),
+            &[0, 1],
+            "copy B survives, right after {{2, 3}}"
+        );
+        assert_eq!(
+            got.n_edges(),
+            2 + (K as usize - K as usize / 2) - (K as usize / 2).div_ceil(3)
+        );
+    }
+
+    /// The flat log hands back every range of edits exactly as logged,
+    /// un-normalized and empty vertex lists included, across its marks.
+    #[test]
+    fn edit_log_decodes_every_range_as_logged() {
+        let edits: Vec<GraphEdit> = (0..3 * MARK_EVERY as u32 + 5)
+            .map(|i| match i % 4 {
+                0 => GraphEdit::AddEdge((0..i % 7).rev().chain([i % 3]).collect()),
+                1 => GraphEdit::GrowVertices(i),
+                2 => GraphEdit::RemoveEdge((0..i % 5).collect()), // empty when i % 5 == 0
+                _ => GraphEdit::AddEdge(vec![i, 1, i]),
+            })
+            .collect();
+        let mut log = EditLog::default();
+        assert!(log.is_empty());
+        log.extend(&edits[..7]);
+        log.extend(&edits[7..]);
+        assert_eq!(log.len(), edits.len());
+        for a in 0..=edits.len() {
+            for b in [a, a + 1, a + MARK_EVERY + 1, edits.len()] {
+                let b = b.min(edits.len());
+                assert_eq!(log.decode(a..b), edits[a..b], "range {a}..{b}");
+            }
+        }
+        let mut twin = EditLog::default();
+        twin.extend(&edits[..100]);
+        assert_ne!(twin, log);
+        twin.extend(&edits[100..]);
+        assert_eq!(twin, log);
     }
 
     #[test]

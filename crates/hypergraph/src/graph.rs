@@ -129,6 +129,8 @@ impl Hypergraph {
     /// starting at 0) delimiting each edge's run of `vertices`. Derives
     /// `dim` and the vertex -> edge incidence index, the latter with one
     /// counting sort, so each vertex's incident edges come out ascending.
+    /// ([`apply_edits`](crate::edit::apply_edits) lays out the same index
+    /// by patching the base graph's instead.)
     ///
     /// Every edge must be sorted, duplicate-free, non-empty and reference only
     /// vertices `< n`; asserted in debug builds.
@@ -183,11 +185,13 @@ impl Hypergraph {
 
     /// Builds the arena directly from already-validated CSR parts.
     ///
-    /// `pub(crate)`: the binary snapshot reader in [`crate::io`] is the only
-    /// caller, and it fully validates structure (monotonic bounded offsets,
-    /// sorted duplicate-free non-empty edges, a consistent incidence index
-    /// and an exact `dim`) before any array reaches this constructor —
-    /// mapped or owned alike.
+    /// `pub(crate)`: the binary snapshot reader in [`crate::io`] fully
+    /// validates structure (monotonic bounded offsets, sorted
+    /// duplicate-free non-empty edges, a consistent incidence index and an
+    /// exact `dim`) before any array reaches this constructor — mapped or
+    /// owned alike; [`apply_edits`](crate::edit::apply_edits) derives every
+    /// part from a valid base graph, laid out as [`Self::from_edge_csr`]
+    /// would.
     pub(crate) fn from_validated_csr(
         n: u32,
         dim: u32,

@@ -62,7 +62,7 @@ pub mod view;
 pub use active::reference::ReferenceActiveHypergraph;
 pub use active::{ActiveEngine, ActiveHypergraph};
 pub use builder::HypergraphBuilder;
-pub use edit::{apply_edits, EditError, GraphEdit};
+pub use edit::{apply_edits, EditError, EditLog, GraphEdit};
 pub use graph::{EdgeId, Hypergraph, VertexId};
 pub use stats::HypergraphStats;
 pub use view::HypergraphView;
@@ -74,7 +74,7 @@ pub mod prelude {
     pub use crate::active::{ActiveEngine, ActiveHypergraph};
     pub use crate::builder::HypergraphBuilder;
     pub use crate::degree;
-    pub use crate::edit::{apply_edits, EditError, GraphEdit};
+    pub use crate::edit::{apply_edits, EditError, EditLog, GraphEdit};
     pub use crate::generate;
     pub use crate::graph::{EdgeId, Hypergraph, VertexId};
     pub use crate::params;

@@ -31,7 +31,7 @@
 //!
 //! Resident graphs live in a [`ResidentRegistry`] — **epoch-versioned and
 //! mutable mid-stream**. Each resident graph carries an append-only
-//! [`GraphEdit`] log; [`ResidentRegistry::apply`] bumps the graph's
+//! [`EditLog`] of [`GraphEdit`]s; [`ResidentRegistry::apply`] bumps the graph's
 //! [`Epoch`] and publishes the next immutable [`ResidentSnapshot`]
 //! (copy-on-write: older snapshots are shared untouched, so mutation never
 //! blocks or invalidates readers). Workers only ever read snapshots, each
@@ -165,7 +165,9 @@
 //! epoch (always), and the latest `k` epochs stay resident, bounding the
 //! snapshot count by `k + 1` regardless of how many epochs accumulate,
 //! while the *log stays complete*, so evicted epochs remain replayable from disk
-//! or via [`edit_log`](ResidentRegistry::edit_log). Pinning an epoch below
+//! or via [`edit_log`](ResidentRegistry::edit_log). The log is the part
+//! that keeps growing: a flat [`EditLog`] of one header word per edit plus
+//! the edit's vertex ids, 16 bytes per 3-vertex edit. Pinning an epoch below
 //! the floor ([`EpochPin::At`]) answers with
 //! [`SolveError::EpochEvicted`] — outcome data carrying the floor, never a
 //! panic — and is **distinct from** [`SolveError::UnknownEpoch`], which
@@ -247,7 +249,7 @@
 //! ```
 
 use crate::batch::BatchRunner;
-use hypergraph::edit::{apply_edits, EditError, GraphEdit};
+use hypergraph::edit::{apply_edits, EditError, EditLog, GraphEdit};
 use hypergraph::io::{ParseError, ReadError};
 use hypergraph::{ActiveHypergraph, Hypergraph, VertexId};
 use mis_core::linear::LinearError;
@@ -557,7 +559,7 @@ impl SpillPolicy {
 }
 
 /// The resident-graph registry: graphs that stay loaded across a serve
-/// session, each **epoch-versioned** — an append-only [`GraphEdit`] log plus
+/// session, each **epoch-versioned** — an append-only [`EditLog`] plus
 /// one immutable [`ResidentSnapshot`] per epoch (copy-on-write: mutations
 /// build the next snapshot; existing snapshots are shared untouched).
 ///
@@ -618,11 +620,12 @@ impl Default for ResidentRegistry {
 /// from the base.
 #[derive(Debug)]
 struct ResidentState {
-    // Arc'd so `edit_log` is O(1) per call instead of cloning the whole log
-    // (appends go through `Arc::make_mut`: in place unless a caller still
-    // holds a previously returned handle, which degrades to one
-    // copy-on-write — never a per-inspection clone).
-    log: Arc<Vec<GraphEdit>>,
+    // Flat, so logging an edit allocates nothing of its own, and Arc'd so
+    // `edit_log` is O(1) per call instead of cloning the whole log (appends
+    // go through `Arc::make_mut`: in place unless a caller still holds a
+    // previously returned handle, which degrades to one copy-on-write —
+    // never a per-inspection clone).
+    log: Arc<EditLog>,
     base_epoch: u64,
     watermarks: Vec<usize>,
     snapshots: Vec<Option<Arc<ResidentSnapshot>>>,
@@ -745,7 +748,7 @@ impl ResidentRegistry {
     /// non-zero base, and epoch numbers must survive the round trip).
     fn register_with_base(&mut self, graph: Hypergraph, base_epoch: u64) -> GraphId {
         self.entries.push(RwLock::new(ResidentState {
-            log: Arc::new(Vec::new()),
+            log: Arc::default(),
             base_epoch,
             watermarks: vec![0],
             snapshots: vec![Some(ResidentSnapshot::new(
@@ -805,7 +808,7 @@ impl ResidentRegistry {
         }
         let graph = Arc::new(apply_edits(current.graph(), edits)?);
         let epoch = Epoch(st.current_epoch().0 + 1);
-        Arc::make_mut(&mut st.log).extend(edits.iter().cloned());
+        Arc::make_mut(&mut st.log).extend(edits);
         let log_len = st.log.len();
         st.watermarks.push(log_len);
         st.snapshots
@@ -1030,7 +1033,9 @@ impl ResidentRegistry {
 
     /// A shared handle to the full edit log of the graph behind `id` (epoch
     /// `k`'s snapshot was produced by the prefix
-    /// `log[..snapshot.log_len()]`, counted from the base snapshot).
+    /// `log.decode(0..snapshot.log_len())`, counted from the base
+    /// snapshot). Each edit is logged exactly as it was given to
+    /// [`apply`](Self::apply), un-normalized.
     ///
     /// O(1): the handle shares the registry's own storage instead of
     /// cloning the log. Holding it across a concurrent
@@ -1040,7 +1045,7 @@ impl ResidentRegistry {
     /// # Panics
     /// Panics if `id` did not come from this registry or its index is out of
     /// range.
-    pub fn edit_log(&self, id: GraphId) -> Arc<Vec<GraphEdit>> {
+    pub fn edit_log(&self, id: GraphId) -> Arc<EditLog> {
         Arc::clone(&self.locate(id).read().expect(LOCK_POISONED).log)
     }
 
@@ -1095,7 +1100,7 @@ impl ResidentRegistry {
         let dropped = st.snapshots.iter().filter(|s| s.is_some()).count() - 1;
         st.evictions += dropped as u64;
         st.base_epoch = epoch.0;
-        st.log = Arc::new(Vec::new());
+        st.log = Arc::default();
         st.watermarks = vec![0];
         st.snapshots = vec![Some(ResidentSnapshot::new(
             epoch,
@@ -1135,11 +1140,12 @@ impl ResidentRegistry {
             let base = st.snapshots[0]
                 .as_ref()
                 .expect("the base snapshot of a resident graph is never evicted");
-            let batches: Vec<&[GraphEdit]> = st
+            let batches: Vec<Vec<GraphEdit>> = st
                 .watermarks
                 .windows(2)
-                .map(|w| &st.log[w[0]..w[1]])
+                .map(|w| st.log.decode(w[0]..w[1]))
                 .collect();
+            let batches: Vec<&[GraphEdit]> = batches.iter().map(Vec::as_slice).collect();
             return hypergraph::io::write_wal(path, st.base_epoch, base.graph(), &batches);
         }
     }

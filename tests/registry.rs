@@ -137,7 +137,7 @@ fn replaying_any_log_prefix_reproduces_every_snapshot() {
         let from = registry.snapshot_at(id, Epoch(j)).expect("retained");
         for k in j..epochs {
             let to = registry.snapshot_at(id, Epoch(k)).expect("retained");
-            let replayed = apply_edits(from.graph(), &log[from.log_len()..to.log_len()])
+            let replayed = apply_edits(from.graph(), &log.decode(from.log_len()..to.log_len()))
                 .expect("log slices replay cleanly");
             assert!(
                 replayed == *to.graph(),
@@ -405,7 +405,7 @@ fn persisted_and_restored_registries_answer_identically() {
 
     assert_eq!(restored.base_epoch(rid), registry.base_epoch(id));
     assert_eq!(restored.current_epoch(rid), registry.current_epoch(id));
-    assert_eq!(restored.edit_log(rid)[..], registry.edit_log(id)[..]);
+    assert_eq!(restored.edit_log(rid), registry.edit_log(id));
     let epochs = registry.current_epoch(id).0 + 1;
     for e in 0..epochs {
         let a = registry.snapshot_at(id, Epoch(e)).expect("retained");
@@ -472,8 +472,8 @@ fn torn_wal_tails_restore_a_whole_record_prefix() {
                     .expect("recovered epoch exists in the original")
                     .log_len();
                 assert_eq!(
-                    fresh.edit_log(rid)[..],
-                    log[..watermark],
+                    fresh.edit_log(rid).decode(..),
+                    log.decode(..watermark),
                     "cut at byte {cut}: recovered log is not a whole-record prefix"
                 );
                 assert!(
@@ -665,8 +665,8 @@ proptest! {
         for k in 0..epochs {
             let snap = registry.snapshot_at(id, Epoch(k)).expect("retained");
             // (1) Structural replay: epoch k from epoch 0.
-            let replayed =
-                apply_edits(&base_graph(), &log[..snap.log_len()]).expect("log prefix replays");
+            let replayed = apply_edits(&base_graph(), &log.decode(..snap.log_len()))
+                .expect("log prefix replays");
             prop_assert!(replayed == *snap.graph(), "epoch {} structural replay", k);
             // (2) Outcome replay: a pinned solve against the registry equals
             // the same solve against the replayed graph in a fresh registry
@@ -735,7 +735,7 @@ proptest! {
         std::fs::remove_file(&path).ok();
 
         prop_assert_eq!(restored.current_epoch(rid), registry.current_epoch(id));
-        prop_assert_eq!(&restored.edit_log(rid)[..], &registry.edit_log(id)[..]);
+        prop_assert_eq!(restored.edit_log(rid), registry.edit_log(id));
         let epochs = registry.current_epoch(id).0 + 1;
         for e in 0..epochs {
             let a = registry.snapshot_at(id, Epoch(e)).expect("retained");

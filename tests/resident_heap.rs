@@ -1,8 +1,9 @@
 //! One copy per resident graph, measured on the heap: registering an owned
 //! graph, opening a mapped snapshot and applying a one-edit batch grow the
 //! live heap by no more than the graphs the registry then holds, plus a
-//! little bookkeeping; and inducing a query from a resident graph into a
-//! warm engine allocates nothing.
+//! little bookkeeping; inducing a query from a resident graph into a warm
+//! engine allocates nothing; and a long run of edit batches grows the heap
+//! by the latest graph plus a few bytes per logged edit.
 //!
 //! A counting `#[global_allocator]` tracks live heap bytes for this whole
 //! test binary, which therefore holds a single test: nothing else allocates
@@ -117,4 +118,46 @@ fn each_resident_graph_is_held_once() {
     assert_eq!(allocations, 0, "a warm reset_induced allocated");
     assert_eq!(sub.n_alive(), n);
     std::fs::remove_file(&path).ok();
+
+    // The edit log is flat. 1024 batches shaped like perfbench's
+    // `mutate_mix` (remove one block of 8 edges, re-add the block the
+    // previous batch removed) on a `keep_last(1)` registry grow the heap by
+    // the latest graph and a few bytes per logged edit: the edits' own
+    // words, one header word per edit and one epoch slot per batch.
+    const BLOCK: usize = 8;
+    const BATCHES: usize = 1024;
+    let graph = generate::d_uniform(&mut ChaCha8Rng::seed_from_u64(21), 4096, 2 * 4096, 3);
+    let blocks: Vec<Vec<Vec<u32>>> = (0..64)
+        .map(|b| {
+            (0..BLOCK)
+                .map(|i| graph.edge((b * BLOCK + i) as u32).to_vec())
+                .collect()
+        })
+        .collect();
+    let block = |k: usize| &blocks[k % blocks.len()];
+    let removed: Vec<GraphEdit> = block(0)
+        .iter()
+        .map(|e| GraphEdit::RemoveEdge(e.clone()))
+        .collect();
+    let graph = apply_edits(&graph, &removed).unwrap();
+    let mut registry = ResidentRegistry::with_retention(RetentionPolicy::keep_last(1));
+    let id = registry.register(graph);
+    let (_, grew) = heap_growth(|| {
+        for k in 1..=BATCHES {
+            let batch: Vec<GraphEdit> = block(k)
+                .iter()
+                .map(|e| GraphEdit::RemoveEdge(e.clone()))
+                .chain(block(k - 1).iter().map(|e| GraphEdit::AddEdge(e.clone())))
+                .collect();
+            registry.apply(id, &batch).unwrap();
+        }
+    });
+    let logged = registry.edit_log(id).len();
+    assert_eq!(logged, BATCHES * 2 * BLOCK);
+    let graph_bytes = registry.latest(id).graph().bytes_resident() as isize;
+    let per_edit = (grew - graph_bytes) as f64 / logged as f64;
+    assert!(
+        per_edit <= 32.0,
+        "{logged} logged edits grew the heap by {per_edit:.1} B each beside the latest graph"
+    );
 }
