@@ -11,10 +11,13 @@
 //!
 //! # The CI bench-regression gate: compare freshly emitted BENCH_*.json in
 //! # the working directory against committed baselines (default tolerance
-//! # band 0.5; exits non-zero on any regression or fingerprint mismatch).
+//! # band 0.5; exits non-zero on any regression or fingerprint mismatch, or
+//! # if the selected tags leave no value to compare).
 //! cargo run --release -p bench --bin experiments -- \
 //!     --check-against bench/baselines [--tolerance 0.5] [activeset batch serve coldstart net]
 //! ```
+//!
+//! An unknown flag or tag is an error, never a silent no-op.
 
 use bench::{linear_workload, markdown_table, paper_workload, rng_for, uniform_workload};
 use concentration::chernoff;
@@ -53,6 +56,9 @@ fn main() {
             a if a.starts_with("--") => panic!("unknown flag {a}"),
             _ => selected.push(arg),
         }
+    }
+    if let Some(tag) = unknown_tag(&selected) {
+        panic!("unknown experiment tag {tag} (known: {TAGS})");
     }
     let want =
         |tag: &str| selected.is_empty() || selected.iter().any(|s| s.eq_ignore_ascii_case(tag));
@@ -124,12 +130,25 @@ fn main() {
     }
 }
 
+/// Every experiment tag the harness knows, in run order.
+const TAGS: &str = "e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 activeset batch serve coldstart net";
+
+/// The first selected tag that names no experiment (tags match
+/// case-insensitively), if any.
+fn unknown_tag(selected: &[String]) -> Option<&String> {
+    selected
+        .iter()
+        .find(|s| !TAGS.split(' ').any(|t| t.eq_ignore_ascii_case(s)))
+}
+
 /// The CI bench-regression gate (`--check-against <dir>`): compares each
 /// freshly emitted `BENCH_*.json` in the working directory against the
 /// committed copy in `<dir>`, with a tolerance band on wall times and
 /// speedups and exact matching on deterministic fields (see
 /// [`bench::baseline`]). Exits non-zero on the first artifact set with
 /// failures, so CI fails on wall-time regressions or fingerprint mismatches.
+/// A gate that compared no value (the selected tags name no gated artifact)
+/// fails too: it would otherwise pass vacuously.
 fn run_bench_regression_gate(dir: &str, tolerance: f64, want: &impl Fn(&str) -> bool) {
     println!("## bench-regression gate: fresh BENCH_*.json vs {dir} (tolerance {tolerance})\n");
     let mut compared = 0usize;
@@ -154,6 +173,9 @@ fn run_bench_regression_gate(dir: &str, tolerance: f64, want: &impl Fn(&str) -> 
         );
         compared += report.compared;
         failures.extend(report.failures.into_iter().map(|f| format!("{file} {f}")));
+    }
+    if compared == 0 {
+        failures.push("no value compared: the selected tags name no gated artifact".into());
     }
     if !failures.is_empty() {
         eprintln!("\nbench-regression gate FAILED:");
@@ -329,8 +351,9 @@ fn serve_experiment(quick: bool) {
 
     // --- Tenant mix: an interleaved tenant-tagged query stream at 4 shards
     // under each routing policy. Outcomes must be byte-identical across
-    // policies (and to the sequential path); the per-tenant rewarm report
-    // makes the affinity win observable rather than asserted. ---
+    // policies (and to the sequential path); the per-tenant rewarm split,
+    // read from the runner's stats, makes the affinity win observable
+    // rather than asserted. ---
     // 6 tenants over 4 shards: the tenant count is deliberately not a
     // multiple of the shard count, so round-robin genuinely scatters each
     // tenant (ticket stride 6 mod 4 cycles) while affinity pins it.
@@ -407,10 +430,17 @@ fn serve_experiment(quick: bool) {
                     );
                 }
             }
-            // One generation's rewarm ledger (deterministic for the
-            // deterministic routing policies).
-            let pool = runner.shutdown();
-            rewarms = pool.tenant_rewarms();
+            // One generation's rewarm split (deterministic for RR and TA): a
+            // tenant warms each shard it is routed to once.
+            rewarms = runner
+                .stats()
+                .per_tenant
+                .iter()
+                .map(|t| {
+                    let misses = t.shards.len() as u64;
+                    (t.tenant.0, t.admitted - misses, misses)
+                })
+                .collect();
         }
         let (hits, misses) = rewarms
             .iter()
@@ -2443,5 +2473,26 @@ fn yesno(b: bool) -> String {
         "yes".into()
     } else {
         "no".into()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn unknown(args: &[&str]) -> Option<String> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        unknown_tag(&args).cloned()
+    }
+
+    #[test]
+    fn a_misspelled_tag_is_rejected() {
+        assert_eq!(unknown(&[]), None);
+        assert_eq!(unknown(&TAGS.split(' ').collect::<Vec<_>>()), None);
+        assert_eq!(unknown(&["E1", "Serve", "net"]), None);
+        assert_eq!(unknown(&["serve", "serv"]).as_deref(), Some("serv"));
+        assert_eq!(unknown(&["e99"]).as_deref(), Some("e99"));
+        assert_eq!(unknown(&["e1 "]).as_deref(), Some("e1 "));
+        assert_eq!(unknown(&[""]).as_deref(), Some(""));
     }
 }

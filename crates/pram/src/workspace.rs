@@ -108,32 +108,6 @@ pub struct Workspace {
     takes: u64,
     creations: u64,
     grows: u64,
-    // Per-tenant rewarm ledger: `(tenant, hits, misses)` ascending by tenant.
-    // A "hit" is a solve by a tenant this workspace has served before (its
-    // parked engines/buffers are warm for that tenant's shapes); the first
-    // solve by a tenant is the "miss" that warms it. Pure observability —
-    // never consulted by any take/put path and excluded from
-    // [`fresh_allocations`](Workspace::fresh_allocations).
-    tenant_ledger: Vec<(u64, u64, u64)>,
-    // Per-resident-graph epoch ledger: `(graph, epoch, hits, rewarms)`
-    // ascending by graph key. Tracks the epoch of the snapshot this
-    // workspace last served per resident graph, so the serving layer's
-    // mutation path is observable: a solve against the epoch the workspace
-    // already holds warm state for is a "hit"; a first touch or an epoch
-    // change is a "rewarm". Pure observability, like the tenant ledger.
-    epoch_ledger: Vec<(u64, u64, u64, u64)>,
-    // Per-resident-graph eviction ledger: `(graph, evicted-pin touches)`
-    // ascending by graph key. Counts solves that arrived pinned to an epoch
-    // the registry's retention policy had already dropped — retention
-    // pressure as seen by the serving layer, per graph. Pure observability,
-    // like the tenant and epoch ledgers.
-    eviction_ledger: Vec<(u64, u64)>,
-    // Per-resident-graph spill ledger: `(graph, spills observed, page-ins)`
-    // ascending by graph key. Counts request-path encounters with the
-    // registry's out-of-core spill policy: a solve that had to page a
-    // spilled mapped snapshot back in records one page-in (and mirrors the
-    // spill it undid). Pure observability, like the other ledgers.
-    spill_ledger: Vec<(u64, u64, u64)>,
 }
 
 impl std::fmt::Debug for Workspace {
@@ -332,233 +306,6 @@ impl Workspace {
     pub fn pooled_buffers(&self) -> usize {
         self.flags.len() + self.u32s.len() + self.u64s.len() + self.usizes.len()
     }
-
-    /// Hard cap on distinct tenants tracked per workspace ledger. Tenant ids
-    /// are caller-chosen (possibly per-user), so a long-lived shard must not
-    /// grow telemetry without bound; tenants beyond the cap are aggregated
-    /// under [`TENANT_LEDGER_OVERFLOW`](Self::TENANT_LEDGER_OVERFLOW)
-    /// instead of getting their own row.
-    pub const TENANT_LEDGER_CAP: usize = 1024;
-
-    /// The pseudo-tenant id that absorbs ledger entries past
-    /// [`TENANT_LEDGER_CAP`](Self::TENANT_LEDGER_CAP).
-    pub const TENANT_LEDGER_OVERFLOW: u64 = u64::MAX;
-
-    /// Records that `tenant` is about to use this workspace and returns
-    /// whether that is a rewarm **hit** (`true`: this workspace has served
-    /// the tenant before) or the first-touch **miss** that warms it.
-    ///
-    /// The serving layer calls this once per executed request, which makes
-    /// shard-affinity routing *observable*: under tenant-affinity routing a
-    /// tenant first-touches exactly one shard's workspace, while round-robin
-    /// scatters its first touches across every shard. The ledger is pure
-    /// bookkeeping — it never influences solve outcomes or the
-    /// [`fresh_allocations`](Self::fresh_allocations) counter — and is
-    /// bounded: once [`TENANT_LEDGER_CAP`](Self::TENANT_LEDGER_CAP) distinct
-    /// tenants are tracked, further tenants share the
-    /// [`TENANT_LEDGER_OVERFLOW`](Self::TENANT_LEDGER_OVERFLOW) row (every
-    /// such touch counts as a miss, since per-tenant warmth can no longer be
-    /// distinguished).
-    pub fn note_tenant(&mut self, tenant: u64) -> bool {
-        match self.tenant_ledger.binary_search_by_key(&tenant, |e| e.0) {
-            Ok(i) => {
-                self.tenant_ledger[i].1 += 1;
-                true
-            }
-            Err(i) if self.tenant_ledger.len() < Self::TENANT_LEDGER_CAP => {
-                self.tenant_ledger.insert(i, (tenant, 0, 1));
-                false
-            }
-            Err(_) => {
-                // Ledger full: fold into the overflow row (created here if
-                // the cap was reached entirely by real tenants). u64::MAX
-                // sorts last, so the push keeps the ledger ordered.
-                match self.tenant_ledger.last_mut() {
-                    Some(last) if last.0 == Self::TENANT_LEDGER_OVERFLOW => last.2 += 1,
-                    _ => self
-                        .tenant_ledger
-                        .push((Self::TENANT_LEDGER_OVERFLOW, 0, 1)),
-                }
-                false
-            }
-        }
-    }
-
-    /// The per-tenant rewarm ledger: `(tenant, hits, misses)`, ascending by
-    /// tenant id. See [`note_tenant`](Self::note_tenant).
-    pub fn tenant_rewarms(&self) -> &[(u64, u64, u64)] {
-        &self.tenant_ledger
-    }
-
-    /// Ledger totals: `(hits, misses)` summed over every tenant this
-    /// workspace has served.
-    pub fn tenant_rewarm_totals(&self) -> (u64, u64) {
-        self.tenant_ledger
-            .iter()
-            .fold((0, 0), |(h, m), e| (h + e.1, m + e.2))
-    }
-
-    /// Records that this workspace is about to serve resident graph `graph`
-    /// at snapshot epoch `epoch`, and returns whether that is a warm **hit**
-    /// (`true`: the last solve against this graph used the same epoch, so
-    /// shard-local derived state matches the snapshot) or a **rewarm**
-    /// (`false`: first touch of the graph, or the graph was mutated to a new
-    /// epoch since this workspace last served it).
-    ///
-    /// The serving layer calls this once per resident/induced solve, which
-    /// makes the epoch-versioned registry's mutation cost *observable*: a
-    /// mutate-heavy stream shows one rewarm per (shard, epoch) transition,
-    /// while the old registry-rebuild path would rewarm everything. Pure
-    /// bookkeeping like [`note_tenant`](Self::note_tenant) — never
-    /// influences solve outcomes — and bounded by
-    /// [`TENANT_LEDGER_CAP`](Self::TENANT_LEDGER_CAP): graphs past the cap
-    /// share the [`TENANT_LEDGER_OVERFLOW`](Self::TENANT_LEDGER_OVERFLOW)
-    /// row, where every touch counts as a rewarm.
-    pub fn note_graph_epoch(&mut self, graph: u64, epoch: u64) -> bool {
-        match self.epoch_ledger.binary_search_by_key(&graph, |e| e.0) {
-            Ok(i) => {
-                let row = &mut self.epoch_ledger[i];
-                if row.1 == epoch {
-                    row.2 += 1;
-                    true
-                } else {
-                    row.1 = epoch;
-                    row.3 += 1;
-                    false
-                }
-            }
-            Err(i) if self.epoch_ledger.len() < Self::TENANT_LEDGER_CAP => {
-                self.epoch_ledger.insert(i, (graph, epoch, 0, 1));
-                false
-            }
-            Err(_) => {
-                // Ledger full: fold into the overflow row (u64::MAX sorts
-                // last, so the push keeps the ledger ordered).
-                match self.epoch_ledger.last_mut() {
-                    Some(last) if last.0 == Self::TENANT_LEDGER_OVERFLOW => last.3 += 1,
-                    _ => self
-                        .epoch_ledger
-                        .push((Self::TENANT_LEDGER_OVERFLOW, 0, 0, 1)),
-                }
-                false
-            }
-        }
-    }
-
-    /// The per-graph epoch ledger: `(graph, epoch last served, hits,
-    /// rewarms)`, ascending by graph key. See
-    /// [`note_graph_epoch`](Self::note_graph_epoch).
-    pub fn graph_epoch_rewarms(&self) -> &[(u64, u64, u64, u64)] {
-        &self.epoch_ledger
-    }
-
-    /// Epoch-ledger totals: `(hits, rewarms)` summed over every resident
-    /// graph this workspace has served.
-    pub fn graph_epoch_totals(&self) -> (u64, u64) {
-        self.epoch_ledger
-            .iter()
-            .fold((0, 0), |(h, r), e| (h + e.2, r + e.3))
-    }
-
-    /// Records that a solve arrived pinned to an epoch of resident graph
-    /// `graph` that the registry's retention policy had already evicted (the
-    /// request was answered with `EpochEvicted` outcome data). Pure
-    /// bookkeeping like [`note_tenant`](Self::note_tenant) — never influences
-    /// solve outcomes — and bounded by
-    /// [`TENANT_LEDGER_CAP`](Self::TENANT_LEDGER_CAP): graphs past the cap
-    /// share the [`TENANT_LEDGER_OVERFLOW`](Self::TENANT_LEDGER_OVERFLOW)
-    /// row.
-    pub fn note_graph_evicted(&mut self, graph: u64) {
-        match self.eviction_ledger.binary_search_by_key(&graph, |e| e.0) {
-            Ok(i) => self.eviction_ledger[i].1 += 1,
-            Err(i) if self.eviction_ledger.len() < Self::TENANT_LEDGER_CAP => {
-                self.eviction_ledger.insert(i, (graph, 1));
-            }
-            Err(_) => {
-                // Ledger full: fold into the overflow row (u64::MAX sorts
-                // last, so the push keeps the ledger ordered).
-                match self.eviction_ledger.last_mut() {
-                    Some(last) if last.0 == Self::TENANT_LEDGER_OVERFLOW => last.1 += 1,
-                    _ => self.eviction_ledger.push((Self::TENANT_LEDGER_OVERFLOW, 1)),
-                }
-            }
-        }
-    }
-
-    /// The per-graph eviction ledger: `(graph, evicted-pin touches)`,
-    /// ascending by graph key. See
-    /// [`note_graph_evicted`](Self::note_graph_evicted).
-    pub fn graph_evictions(&self) -> &[(u64, u64)] {
-        &self.eviction_ledger
-    }
-
-    /// Eviction-ledger total: evicted-pin touches summed over every resident
-    /// graph this workspace has served.
-    pub fn graph_eviction_total(&self) -> u64 {
-        self.eviction_ledger.iter().map(|e| e.1).sum()
-    }
-
-    /// Records that a solve observed resident graph `graph` in the spilled
-    /// state (its mapped base snapshot had been dropped by the registry's
-    /// spill policy to bound resident bytes). The serving layer pairs this
-    /// with [`note_graph_paged_in`](Self::note_graph_paged_in) when the
-    /// request path pages the snapshot back in. Pure bookkeeping like
-    /// [`note_tenant`](Self::note_tenant) — never influences solve outcomes
-    /// — and bounded by [`TENANT_LEDGER_CAP`](Self::TENANT_LEDGER_CAP):
-    /// graphs past the cap share the
-    /// [`TENANT_LEDGER_OVERFLOW`](Self::TENANT_LEDGER_OVERFLOW) row.
-    pub fn note_graph_spilled(&mut self, graph: u64) {
-        let i = self.spill_row(graph);
-        self.spill_ledger[i].1 += 1;
-    }
-
-    /// Records that a solve paged resident graph `graph`'s spilled mapped
-    /// snapshot back in from its source file — the request-path latency cost
-    /// of the spill policy, per graph. Same bounding and observability
-    /// semantics as [`note_graph_spilled`](Self::note_graph_spilled).
-    pub fn note_graph_paged_in(&mut self, graph: u64) {
-        let i = self.spill_row(graph);
-        self.spill_ledger[i].2 += 1;
-    }
-
-    /// Index of `graph`'s spill-ledger row, inserting a fresh one (or
-    /// falling back to the overflow row past the cap).
-    fn spill_row(&mut self, graph: u64) -> usize {
-        match self.spill_ledger.binary_search_by_key(&graph, |e| e.0) {
-            Ok(i) => i,
-            Err(i) if self.spill_ledger.len() < Self::TENANT_LEDGER_CAP => {
-                self.spill_ledger.insert(i, (graph, 0, 0));
-                i
-            }
-            Err(_) => {
-                // Ledger full: fold into the overflow row (u64::MAX sorts
-                // last, so the push keeps the ledger ordered).
-                if !matches!(
-                    self.spill_ledger.last(),
-                    Some(last) if last.0 == Self::TENANT_LEDGER_OVERFLOW
-                ) {
-                    self.spill_ledger.push((Self::TENANT_LEDGER_OVERFLOW, 0, 0));
-                }
-                self.spill_ledger.len() - 1
-            }
-        }
-    }
-
-    /// The per-graph spill ledger: `(graph, spills observed, page-ins)`,
-    /// ascending by graph key. See
-    /// [`note_graph_spilled`](Self::note_graph_spilled) and
-    /// [`note_graph_paged_in`](Self::note_graph_paged_in).
-    pub fn graph_spills(&self) -> &[(u64, u64, u64)] {
-        &self.spill_ledger
-    }
-
-    /// Spill-ledger totals: `(spills observed, page-ins)` summed over every
-    /// resident graph this workspace has served.
-    pub fn graph_spill_totals(&self) -> (u64, u64) {
-        self.spill_ledger
-            .iter()
-            .fold((0, 0), |(s, p), e| (s + e.1, p + e.2))
-    }
 }
 
 /// A per-shard pool of [`Workspace`]s: the serving layer's bridge between
@@ -610,10 +357,6 @@ struct PoolSlot {
     /// parked workspace directly when present).
     last_takes: u64,
     last_fresh: u64,
-    last_tenant_rewarms: Vec<(u64, u64, u64)>,
-    last_epoch_rewarms: Vec<(u64, u64, u64, u64)>,
-    last_evictions: Vec<(u64, u64)>,
-    last_spills: Vec<(u64, u64, u64)>,
 }
 
 impl WorkspacePool {
@@ -675,10 +418,6 @@ impl WorkspacePool {
         slot.created = true;
         slot.last_takes = ws.takes();
         slot.last_fresh = ws.fresh_allocations();
-        slot.last_tenant_rewarms = ws.tenant_rewarms().to_vec();
-        slot.last_epoch_rewarms = ws.graph_epoch_rewarms().to_vec();
-        slot.last_evictions = ws.graph_evictions().to_vec();
-        slot.last_spills = ws.graph_spills().to_vec();
         slot.parked = Some(ws);
     }
 
@@ -735,115 +474,6 @@ impl WorkspacePool {
     /// Pool-wide aggregate of [`Workspace::takes`] across all shards.
     pub fn takes(&self) -> u64 {
         (0..self.slots.len()).map(|s| self.shard_takes(s)).sum()
-    }
-
-    /// Shard `shard`'s per-tenant rewarm ledger, `(tenant, hits, misses)`
-    /// ascending by tenant (live if the workspace is parked, otherwise the
-    /// last-checkin snapshot). See [`Workspace::note_tenant`].
-    pub fn shard_tenant_rewarms(&self, shard: usize) -> Vec<(u64, u64, u64)> {
-        let slot = &self.slots[shard];
-        slot.parked.as_ref().map_or_else(
-            || slot.last_tenant_rewarms.clone(),
-            |ws| ws.tenant_rewarms().to_vec(),
-        )
-    }
-
-    /// The pool-wide per-tenant rewarm report: shard ledgers merged by
-    /// tenant, `(tenant, hits, misses)` ascending by tenant id. Under
-    /// tenant-affinity routing a tenant's misses stay at 1 (one first-touch
-    /// on its home shard); under shard-scattering policies they approach the
-    /// shard count — which is exactly the affinity win this report makes
-    /// observable.
-    pub fn tenant_rewarms(&self) -> Vec<(u64, u64, u64)> {
-        let mut merged: Vec<(u64, u64, u64)> = Vec::new();
-        for shard in 0..self.slots.len() {
-            for (tenant, hits, misses) in self.shard_tenant_rewarms(shard) {
-                match merged.binary_search_by_key(&tenant, |e| e.0) {
-                    Ok(i) => {
-                        merged[i].1 += hits;
-                        merged[i].2 += misses;
-                    }
-                    Err(i) => merged.insert(i, (tenant, hits, misses)),
-                }
-            }
-        }
-        merged
-    }
-
-    /// Shard `shard`'s per-graph epoch ledger, `(graph, epoch last served,
-    /// hits, rewarms)` ascending by graph key (live if the workspace is
-    /// parked, otherwise the last-checkin snapshot). See
-    /// [`Workspace::note_graph_epoch`].
-    pub fn shard_graph_epoch_rewarms(&self, shard: usize) -> Vec<(u64, u64, u64, u64)> {
-        let slot = &self.slots[shard];
-        slot.parked.as_ref().map_or_else(
-            || slot.last_epoch_rewarms.clone(),
-            |ws| ws.graph_epoch_rewarms().to_vec(),
-        )
-    }
-
-    /// Pool-wide epoch-rewarm totals: `(hits, rewarms)` summed over every
-    /// resident graph and shard. Each registry mutation costs at most one
-    /// rewarm per shard that goes on to serve the new epoch — the
-    /// copy-on-write win over re-registering (which would cold-start every
-    /// shard) that this report makes observable.
-    pub fn graph_epoch_totals(&self) -> (u64, u64) {
-        (0..self.slots.len())
-            .flat_map(|s| self.shard_graph_epoch_rewarms(s))
-            .fold((0, 0), |(h, r), e| (h + e.2, r + e.3))
-    }
-
-    /// Shard `shard`'s per-graph eviction ledger, `(graph, evicted-pin
-    /// touches)` ascending by graph key (live if the workspace is parked,
-    /// otherwise the last-checkin snapshot). See
-    /// [`Workspace::note_graph_evicted`].
-    pub fn shard_graph_evictions(&self, shard: usize) -> Vec<(u64, u64)> {
-        let slot = &self.slots[shard];
-        slot.parked.as_ref().map_or_else(
-            || slot.last_evictions.clone(),
-            |ws| ws.graph_evictions().to_vec(),
-        )
-    }
-
-    /// Pool-wide eviction total: evicted-pin touches summed over every
-    /// resident graph and shard. A non-zero value means tenants are pinning
-    /// epochs below the registry's retention floor — the signal to raise
-    /// `keep_last` (or stop compacting) for those graphs.
-    pub fn graph_eviction_total(&self) -> u64 {
-        (0..self.slots.len())
-            .flat_map(|s| self.shard_graph_evictions(s))
-            .map(|e| e.1)
-            .sum()
-    }
-
-    /// Shard `shard`'s per-graph spill ledger, `(graph, spills observed,
-    /// page-ins)` ascending by graph key (live if the workspace is parked,
-    /// otherwise the last-checkin snapshot). See
-    /// [`Workspace::note_graph_spilled`] and
-    /// [`Workspace::note_graph_paged_in`].
-    pub fn shard_graph_spills(&self, shard: usize) -> Vec<(u64, u64, u64)> {
-        let slot = &self.slots[shard];
-        slot.parked
-            .as_ref()
-            .map_or_else(|| slot.last_spills.clone(), |ws| ws.graph_spills().to_vec())
-    }
-
-    /// Pool-wide spill totals: `(spills observed, page-ins)` summed over
-    /// every resident graph and shard. A growing page-in count means the
-    /// registry's spill cap is set below the working set — queries keep
-    /// faulting spilled snapshots back in.
-    pub fn graph_spill_totals(&self) -> (u64, u64) {
-        (0..self.slots.len())
-            .flat_map(|s| self.shard_graph_spills(s))
-            .fold((0, 0), |(sp, pi), e| (sp + e.1, pi + e.2))
-    }
-
-    /// Pool-wide rewarm totals: `(hits, misses)` summed over every tenant
-    /// and shard.
-    pub fn tenant_rewarm_totals(&self) -> (u64, u64) {
-        self.tenant_rewarms()
-            .iter()
-            .fold((0, 0), |(h, m), e| (h + e.1, m + e.2))
     }
 }
 
@@ -982,125 +612,6 @@ mod tests {
         assert_eq!(pool.shard_fresh_allocations(0), fresh);
         assert_eq!(pool.takes(), takes);
         pool.checkin(0, ws);
-    }
-
-    #[test]
-    fn tenant_rewarm_ledger_counts_hits_and_misses() {
-        let mut ws = Workspace::new();
-        let fresh_before = ws.fresh_allocations();
-        assert!(!ws.note_tenant(7), "first touch is a miss");
-        assert!(ws.note_tenant(7), "second touch is a hit");
-        assert!(!ws.note_tenant(3));
-        assert_eq!(ws.tenant_rewarms(), &[(3, 0, 1), (7, 1, 1)]);
-        assert_eq!(ws.tenant_rewarm_totals(), (1, 2));
-        assert_eq!(
-            ws.fresh_allocations(),
-            fresh_before,
-            "the ledger is observability, not an allocation event"
-        );
-
-        // Pool: snapshots survive checkin/checkout and merge across shards.
-        let mut pool = WorkspacePool::new(2);
-        pool.checkin(0, ws);
-        let mut other = pool.checkout(1);
-        other.note_tenant(7);
-        pool.checkin(1, other);
-        assert_eq!(pool.shard_tenant_rewarms(0), vec![(3, 0, 1), (7, 1, 1)]);
-        assert_eq!(pool.tenant_rewarms(), vec![(3, 0, 1), (7, 1, 2)]);
-        assert_eq!(pool.tenant_rewarm_totals(), (1, 3));
-        // While checked out, the last-checkin snapshot stays visible.
-        let ws0 = pool.checkout(0);
-        assert_eq!(pool.shard_tenant_rewarms(0), vec![(3, 0, 1), (7, 1, 1)]);
-        pool.checkin(0, ws0);
-    }
-
-    #[test]
-    fn tenant_ledger_is_bounded() {
-        let mut ws = Workspace::new();
-        for t in 0..Workspace::TENANT_LEDGER_CAP as u64 + 500 {
-            ws.note_tenant(t);
-        }
-        // Cap rows plus the single overflow row.
-        assert_eq!(ws.tenant_rewarms().len(), Workspace::TENANT_LEDGER_CAP + 1);
-        let last = *ws.tenant_rewarms().last().unwrap();
-        assert_eq!(last.0, Workspace::TENANT_LEDGER_OVERFLOW);
-        assert_eq!(last.2, 500, "overflow tenants aggregate as misses");
-        // Tracked tenants keep counting hits; every touch stays accounted.
-        assert!(ws.note_tenant(3));
-        let (hits, misses) = ws.tenant_rewarm_totals();
-        assert_eq!(hits + misses, Workspace::TENANT_LEDGER_CAP as u64 + 501);
-    }
-
-    #[test]
-    fn eviction_ledger_counts_per_graph_and_is_bounded() {
-        let mut ws = Workspace::new();
-        ws.note_graph_evicted(7);
-        ws.note_graph_evicted(3);
-        ws.note_graph_evicted(7);
-        assert_eq!(ws.graph_evictions(), &[(3, 1), (7, 2)]);
-        assert_eq!(ws.graph_eviction_total(), 3);
-        for g in 0..Workspace::TENANT_LEDGER_CAP as u64 + 500 {
-            ws.note_graph_evicted(g);
-        }
-        // Cap rows plus the single overflow row; every touch stays counted.
-        assert_eq!(ws.graph_evictions().len(), Workspace::TENANT_LEDGER_CAP + 1);
-        let last = *ws.graph_evictions().last().unwrap();
-        assert_eq!(last.0, Workspace::TENANT_LEDGER_OVERFLOW);
-        assert_eq!(
-            ws.graph_eviction_total(),
-            Workspace::TENANT_LEDGER_CAP as u64 + 503
-        );
-    }
-
-    #[test]
-    fn pool_reports_evictions_for_parked_and_checked_out_shards() {
-        let mut pool = WorkspacePool::new(2);
-        let mut ws = pool.checkout(0);
-        ws.note_graph_evicted(5);
-        ws.note_graph_evicted(5);
-        pool.checkin(0, ws);
-        // Parked: live ledger.
-        assert_eq!(pool.shard_graph_evictions(0), vec![(5, 2)]);
-        assert_eq!(pool.graph_eviction_total(), 2);
-        // Checked out again: the last-checkin snapshot answers.
-        let ws = pool.checkout(0);
-        assert_eq!(pool.shard_graph_evictions(0), vec![(5, 2)]);
-        assert_eq!(pool.graph_eviction_total(), 2);
-        pool.checkin(0, ws);
-    }
-
-    #[test]
-    fn spill_ledger_counts_per_graph_and_is_bounded() {
-        let mut ws = Workspace::new();
-        ws.note_graph_spilled(4);
-        ws.note_graph_paged_in(4);
-        ws.note_graph_paged_in(4);
-        ws.note_graph_paged_in(9);
-        assert_eq!(ws.graph_spills(), &[(4, 1, 2), (9, 0, 1)]);
-        assert_eq!(ws.graph_spill_totals(), (1, 3));
-        for g in 0..Workspace::TENANT_LEDGER_CAP as u64 + 500 {
-            ws.note_graph_paged_in(g);
-        }
-        // Cap rows plus the single overflow row; every touch stays counted.
-        assert_eq!(ws.graph_spills().len(), Workspace::TENANT_LEDGER_CAP + 1);
-        let last = *ws.graph_spills().last().unwrap();
-        assert_eq!(last.0, Workspace::TENANT_LEDGER_OVERFLOW);
-        assert_eq!(
-            ws.graph_spill_totals(),
-            (1, Workspace::TENANT_LEDGER_CAP as u64 + 503)
-        );
-
-        // Pool: snapshots survive checkout and merge across shards.
-        let mut pool = WorkspacePool::new(2);
-        let mut a = pool.checkout(0);
-        a.note_graph_spilled(2);
-        a.note_graph_paged_in(2);
-        pool.checkin(0, a);
-        assert_eq!(pool.shard_graph_spills(0), vec![(2, 1, 1)]);
-        assert_eq!(pool.graph_spill_totals(), (1, 1));
-        let a = pool.checkout(0);
-        assert_eq!(pool.shard_graph_spills(0), vec![(2, 1, 1)]);
-        pool.checkin(0, a);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! The session ends with the **durability lifecycle**: `persist` writes the
 //! jobs tenant's `(snapshot₀, edit log)` as a checksummed WAL, `compact`
 //! truncates the live history (pins below the new floor answer
-//! `EpochEvicted` as outcome data, counted in the pool's eviction ledger),
+//! `EpochEvicted` as outcome data carrying the retention floor),
 //! and `restore` rebuilds the full pre-compaction history in a fresh
 //! registry — the epoch-0 answer reproduces bit-for-bit across the process
 //! boundary. Persist before compact: the WAL is what keeps truncated
@@ -267,6 +267,13 @@ fn main() {
             t.denied(),
             t.shards
         );
+        // Affinity as the stats see it: each tenant warmed its home shard
+        // and no other.
+        assert_eq!(
+            t.shards,
+            vec![affinity_shard(t.tenant, 4)],
+            "affinity keeps every tenant on one warm shard"
+        );
     }
     assert_eq!(denied as u64, stats.denied);
 
@@ -292,24 +299,11 @@ fn main() {
     // fingerprint legitimately differs from ticket 0's.
     assert_ne!(collected[24].fingerprint(), collected[0].fingerprint());
 
-    // The rewarm report: with affinity routing each tenant first-touches
-    // exactly one shard's workspace and every later request is a hit.
     let pool = server.shutdown();
     println!(
         "shutdown: {} workspaces parked, {} fresh allocations across the session",
         pool.parked(),
         pool.fresh_allocations()
-    );
-    for (tenant, hits, misses) in pool.tenant_rewarms() {
-        println!("  tenant {tenant}: {hits} rewarm hits, {misses} first-touch misses");
-        assert_eq!(misses, 1, "affinity keeps every tenant on one warm shard");
-    }
-    // The per-graph epoch ledger makes the mutation visible on the shards:
-    // the jobs home shard saw exactly one epoch change (0 → 1).
-    let (epoch_hits, epoch_rewarms) = pool.graph_epoch_totals();
-    println!(
-        "  resident graphs: {epoch_hits} same-epoch touches, {epoch_rewarms} epoch \
-         changes/first touches observed by the shards"
     );
 
     // --- The durability lifecycle: persist → compact → restore. The edit
@@ -328,7 +322,7 @@ fn main() {
     // A second serve generation over the same warmed pool: a pin below the
     // compaction floor comes back as an `EpochEvicted` *outcome* — the epoch
     // was real history, which distinguishes it from `UnknownEpoch` ("never
-    // reached") — and the pool's eviction ledger counts the touch.
+    // reached").
     let mut server = ShardedRunner::with_pool(Arc::clone(&registry), &config, pool);
     server.submit(
         SolveRequest::for_graph(jobs)
@@ -356,12 +350,7 @@ fn main() {
     }
     assert!(outs[1].error.is_none(), "the compacted head still serves");
     assert_eq!(outs[1].epoch, Some(compacted));
-    let pool = server.shutdown();
-    println!(
-        "  pool eviction ledger: {} evicted-pin touch(es) recorded by the shards",
-        pool.graph_eviction_total()
-    );
-    assert_eq!(pool.graph_eviction_total(), 1);
+    server.shutdown();
 
     // Restore rebuilds the full pre-compaction history in a fresh registry —
     // a stand-in for a fresh process after a deploy. Ticket 0's epoch-0

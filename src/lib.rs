@@ -24,7 +24,7 @@
 //!   least-queued, or *tenant affinity*: a stable hash pins each tenant to
 //!   one shard so its queries rewarm the same shard-local parked engines
 //!   (observable via
-//!   [`WorkspacePool::tenant_rewarms`](pram::WorkspacePool::tenant_rewarms)).
+//!   [`TenantStats::shards`](serve::TenantStats::shards)).
 //! * **Admission control** ([`AdmissionConfig`](serve::AdmissionConfig)) —
 //!   per-tenant token buckets over logical time plus in-flight caps on the
 //!   bounded queues. Over-quota requests come back as

@@ -151,6 +151,11 @@ impl Server {
                     }
                     match accepted {
                         Ok((stream, _)) => {
+                            // A finished thread keeps its stack mapped until
+                            // it is joined: reap closed connections here, so
+                            // the lists hold live connections only.
+                            join_finished(&readers);
+                            join_finished(&writers);
                             // A socket that fails configuration (peer
                             // already gone, typically) is dropped.
                             let _ = spawn_connection(
@@ -260,6 +265,14 @@ fn loopback(mut addr: SocketAddr) -> SocketAddr {
 impl Drop for Server {
     fn drop(&mut self) {
         let _ = self.stop();
+    }
+}
+
+/// Joins and removes every handle in `handles` whose thread has finished.
+fn join_finished(handles: &Mutex<Vec<JoinHandle<()>>>) {
+    let mut handles = handles.lock().expect("connection thread list");
+    for h in handles.extract_if(.., |h| h.is_finished()) {
+        let _ = h.join();
     }
 }
 
@@ -395,4 +408,37 @@ fn write_loop(mut stream: TcpStream, queue: mpsc::Receiver<WriterMsg>, counters:
         counters.responses.fetch_add(1, Ordering::Relaxed);
     }
     let _ = stream.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::net::Client;
+    use crate::serve::SolveRequest;
+    use hypergraph::builder::hypergraph_from_edges;
+
+    // Each closed connection's reader and writer are joined by the acceptor
+    // at its next accept, so a long-lived server does not keep two thread
+    // stacks per connection it ever served.
+    #[test]
+    fn the_acceptor_joins_closed_connections() {
+        let mut registry = ResidentRegistry::new();
+        let id = registry.register(hypergraph_from_edges(4, vec![vec![0, 1], vec![2, 3]]));
+        let server = Server::bind("127.0.0.1:0", Arc::new(registry), &NetConfig::default())
+            .expect("bind loopback server");
+        for seed in 0..32 {
+            let mut client = Client::connect(server.local_addr()).expect("connect");
+            client
+                .submit(&SolveRequest::for_graph(id).seed(seed).build())
+                .expect("submit");
+            assert!(client.recv().expect("reply").outcome.error.is_none());
+        }
+        let held = |list: &Mutex<Vec<JoinHandle<()>>>| list.lock().unwrap().len();
+        let (readers, writers) = (held(&server.readers), held(&server.writers));
+        assert!(
+            readers <= 4 && writers <= 4,
+            "32 closed connections left {readers} reader and {writers} writer handles"
+        );
+        assert_eq!(server.shutdown().connections.len(), 32);
+    }
 }

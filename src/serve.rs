@@ -45,8 +45,9 @@
 //! * **Routing** — [`RoutePolicy::TenantAffinity`] sends a tenant's whole
 //!   stream to one stable shard (a platform-independent hash of the id), so
 //!   its resident/induced queries rewarm the *same* shard-local parked
-//!   engines generation after generation. The win is observable through the
-//!   pool's per-tenant rewarm report ([`WorkspacePool::tenant_rewarms`]).
+//!   engines generation after generation. The win is observable in
+//!   [`TenantStats::shards`]: one shard per tenant, where round-robin
+//!   routing lists every shard.
 //! * **Admission** — [`AdmissionConfig`] layers per-tenant token buckets and
 //!   in-flight caps on top of the bounded queues. A request over quota is
 //!   *not* an error path: it consumes a ticket and comes back through the
@@ -149,10 +150,9 @@
 //! graphs — mapped, never mutated (an edit log pins a graph: its epochs
 //! exist nowhere on disk) — and transparently pages them back in from their
 //! source files on the next touch. Spills and page-ins are counted per
-//! graph ([`ResidentRegistry::spills`] / [`page_ins`](ResidentRegistry::page_ins))
-//! and mirrored into the per-shard pram spill ledgers on the request path
-//! ([`WorkspacePool::graph_spill_totals`]), next to the eviction ledger. A
-//! graph whose source file has meanwhile disappeared answers requests with
+//! graph ([`ResidentRegistry::spills`] / [`page_ins`](ResidentRegistry::page_ins)),
+//! whether a query or an [`apply`](ResidentRegistry::apply) paged the graph
+//! in. A graph whose source file has meanwhile disappeared answers requests with
 //! [`SolveError::SnapshotUnavailable`] — an outcome, not a panic.
 //!
 //! # Retention and compaction
@@ -269,8 +269,8 @@ use std::thread::JoinHandle;
 ///
 /// The id is caller-chosen and opaque to the serving layer; it drives
 /// affinity routing ([`RoutePolicy::TenantAffinity`]), admission control
-/// ([`AdmissionConfig`]) and per-tenant accounting ([`ServeStats`],
-/// [`WorkspacePool::tenant_rewarms`]). It never influences a solve's result
+/// ([`AdmissionConfig`]) and per-tenant accounting
+/// ([`ServeStats::per_tenant`]). It never influences a solve's result
 /// — outcomes stay pure functions of `(graph, algorithm, seed)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TenantId(pub u64);
@@ -629,8 +629,8 @@ struct ResidentState {
     base_epoch: u64,
     watermarks: Vec<usize>,
     snapshots: Vec<Option<Arc<ResidentSnapshot>>>,
-    // Snapshots dropped by retention or compaction (observability; mirrored
-    // into the pram eviction ledger on the request path).
+    // Snapshots dropped by retention or compaction (observability; see
+    // `ResidentRegistry::evictions`).
     evictions: u64,
     // The on-disk HGCSR snapshot this graph was opened from
     // (`open_mapped`), if any — what makes the entry spillable and what a
@@ -1224,57 +1224,36 @@ impl ResidentRegistry {
     /// the returned `Arc` keeps the snapshot alive for the request however
     /// the retention floor moves afterwards, which is what makes outcomes
     /// independent of the race between queue scheduling and eviction.
-    // The request paths go through `lookup_counted` to mirror page-ins into
-    // the spill ledgers; this thin wrapper serves the resolution suites.
-    #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn lookup(
         &self,
         id: GraphId,
         pin: EpochPin,
     ) -> Result<Arc<ResidentSnapshot>, SolveError> {
-        self.lookup_counted(id, pin).0
-    }
-
-    /// [`lookup`](Self::lookup) plus the spill-policy observation: the
-    /// returned flag is `true` when this resolution had to page the graph's
-    /// spilled base snapshot back in — what the serving layer mirrors into
-    /// the pram spill ledgers ([`Workspace::note_graph_paged_in`]).
-    pub(crate) fn lookup_counted(
-        &self,
-        id: GraphId,
-        pin: EpochPin,
-    ) -> (Result<Arc<ResidentSnapshot>, SolveError>, bool) {
         if id.registry != self.tag {
-            return (Err(SolveError::UnknownGraph(id)), false);
+            return Err(SolveError::UnknownGraph(id));
         }
         let Some(entry) = self.entries.get(id.index) else {
-            return (Err(SolveError::UnknownGraph(id)), false);
+            return Err(SolveError::UnknownGraph(id));
         };
         loop {
             match self.page_in_if_spilled(entry) {
                 Ok(Some(snap)) => {
                     // A spilled entry was never mutated: the paged-in base
                     // is its only epoch.
-                    let resolved = match pin {
+                    return match pin {
                         EpochPin::Latest => Ok(snap),
                         EpochPin::At(epoch) if epoch == snap.epoch() => Ok(snap),
                         EpochPin::At(epoch) => Err(SolveError::UnknownEpoch { graph: id, epoch }),
                     };
-                    return (resolved, true);
                 }
                 Ok(None) => {}
-                Err(detail) => {
-                    return (
-                        Err(SolveError::SnapshotUnavailable { graph: id, detail }),
-                        false,
-                    );
-                }
+                Err(detail) => return Err(SolveError::SnapshotUnavailable { graph: id, detail }),
             }
             let st = entry.read().expect(LOCK_POISONED);
             if st.spilled {
                 continue; // re-spilled by a concurrent enforcement; retry
             }
-            let resolved = match pin {
+            return match pin {
                 EpochPin::Latest => Ok(Arc::clone(st.latest())),
                 EpochPin::At(epoch) => {
                     // Three distinct answers: beyond the current epoch the
@@ -1283,7 +1262,7 @@ impl ResidentRegistry {
                     // evicted slot, the epoch existed and retention dropped
                     // it (EpochEvicted); otherwise the snapshot is resident.
                     if epoch > st.current_epoch() {
-                        return (Err(SolveError::UnknownEpoch { graph: id, epoch }), false);
+                        return Err(SolveError::UnknownEpoch { graph: id, epoch });
                     }
                     let resident = epoch
                         .0
@@ -1299,7 +1278,6 @@ impl ResidentRegistry {
                     }
                 }
             };
-            return (resolved, false);
         }
     }
 
@@ -1805,16 +1783,7 @@ pub(crate) fn execute(
     req: &SolveRequest,
     ws: &mut Workspace,
 ) -> SolveOutcome {
-    let resolved = req.target.graph_id().map(|id| {
-        let (resolved, paged_in) = registry.lookup_counted(id, req.pin);
-        if paged_in {
-            // Observability only, like the eviction noting below: one spill
-            // observed, one page-in (the page-in undid exactly one spill).
-            ws.note_graph_spilled(id.index as u64);
-            ws.note_graph_paged_in(id.index as u64);
-        }
-        resolved
-    });
+    let resolved = req.target.graph_id().map(|id| registry.lookup(id, req.pin));
     execute_resolved(req, resolved, ws)
 }
 
@@ -1828,22 +1797,15 @@ pub(crate) fn execute_resolved(
     resolved: Option<Result<Arc<ResidentSnapshot>, SolveError>>,
     ws: &mut Workspace,
 ) -> SolveOutcome {
-    // Observability only: record the tenant→workspace touch so affinity wins
-    // show up in the pool's rewarm report. Never influences the solve.
-    ws.note_tenant(req.tenant.0);
     let mut rng = ChaCha8Rng::seed_from_u64(req.seed);
     let mut out = match (&req.target, resolved) {
         (Target::Adhoc(h), _) => solve_full(h, &req.algorithm, req.seed, &mut rng, ws),
-        (Target::Resident(id), Some(Ok(snap))) => {
-            // Observability only: per-graph epoch touches show the
-            // copy-on-write win over re-registering in the pool report.
-            ws.note_graph_epoch(id.index as u64, snap.epoch().0);
+        (Target::Resident(_), Some(Ok(snap))) => {
             let mut out = solve_full(snap.graph(), &req.algorithm, req.seed, &mut rng, ws);
             out.epoch = Some(snap.epoch());
             out
         }
-        (Target::Induced { graph, vertices }, Some(Ok(snap))) => {
-            ws.note_graph_epoch(graph.index as u64, snap.epoch().0);
+        (Target::Induced { vertices, .. }, Some(Ok(snap))) => {
             let mut out = solve_induced(
                 snap.graph(),
                 vertices,
@@ -1857,14 +1819,7 @@ pub(crate) fn execute_resolved(
             }
             out
         }
-        (_, Some(Err(e))) => {
-            // Observability only: evicted-pin touches feed the pool's
-            // eviction report, so retention pressure is visible per graph.
-            if let SolveError::EpochEvicted { graph, .. } = &e {
-                ws.note_graph_evicted(graph.index as u64);
-            }
-            failed(req.seed, e)
-        }
+        (_, Some(Err(e))) => failed(req.seed, e),
         (Target::Resident(_) | Target::Induced { .. }, None) => {
             unreachable!("resident targets are resolved before execution")
         }
@@ -2116,11 +2071,9 @@ impl TenantStats {
 /// A point-in-time report of a [`ShardedRunner`]'s scheduling and admission
 /// counters — see [`ShardedRunner::stats`].
 ///
-/// Per-tenant *rewarm* counters live one layer down, on the workspaces:
-/// read them from the [`WorkspacePool`] ([`WorkspacePool::tenant_rewarms`])
-/// — live per-shard during serving via the pool's last-checkin snapshots,
-/// complete after [`shutdown`](ShardedRunner::shutdown) checks every shard's
-/// workspace back in.
+/// Shard warmth per tenant follows from these counters: a tenant first
+/// touches each shard in its [`TenantStats::shards`] once per runner, and
+/// its other admitted requests land on a shard it has already warmed.
 #[derive(Debug, Clone)]
 pub struct ServeStats {
     /// The runner's routing policy.
@@ -2170,10 +2123,6 @@ struct Job {
     // pinned snapshot alive even if retention evicts it, or `compact`
     // re-bases the graph, while the job waits in a shard queue.
     resolved: Option<Result<Arc<ResidentSnapshot>, SolveError>>,
-    // Whether that resolution paged a spilled snapshot back in — carried to
-    // the worker so the observation lands in *its shard's* spill ledger,
-    // the same place evicted-pin touches land.
-    paged_in: bool,
     // `None` queues the outcome for the collection methods; `Some` hands it
     // straight to whoever submitted the request.
     reply: Option<Reply>,
@@ -2298,23 +2247,12 @@ impl ShardedRunner {
                         ticket,
                         request,
                         resolved,
-                        paged_in,
                         reply,
                     }) = rx.recv()
                     {
                         // Shutdown: drain the queue without solving it.
                         if cancel.load(std::sync::atomic::Ordering::Acquire) {
                             continue;
-                        }
-                        // Mirror a submission-time page-in into this shard's
-                        // spill ledger (one spill observed, one page-in —
-                        // the page-in undid exactly one spill).
-                        if paged_in {
-                            if let Some(id) = request.target.graph_id() {
-                                let ws = runner.workspace_mut();
-                                ws.note_graph_spilled(id.index as u64);
-                                ws.note_graph_paged_in(id.index as u64);
-                            }
                         }
                         // Workers never consult the registry: the snapshot
                         // (or error) was fixed at submission time, so a
@@ -2479,12 +2417,10 @@ impl ShardedRunner {
         // the resolution error — `UnknownGraph`, `UnknownEpoch`,
         // `EpochEvicted` — as data), so a later eviction or `compact` cannot
         // retarget or fail a request that was admitted against a live epoch.
-        let mut paged_in = false;
-        let resolved = request.target.graph_id().map(|id| {
-            let (resolved, paged) = self.registry.lookup_counted(id, request.pin);
-            paged_in = paged;
-            resolved
-        });
+        let resolved = request
+            .target
+            .graph_id()
+            .map(|id| self.registry.lookup(id, request.pin));
         if let Some(Ok(snap)) = &resolved {
             // Echo the concrete epoch into the pin so the outcome reports it.
             request.pin = EpochPin::At(snap.epoch());
@@ -2494,7 +2430,6 @@ impl ShardedRunner {
                 ticket,
                 request,
                 resolved,
-                paged_in,
                 reply,
             })
             .expect("serve: worker shard disconnected (a worker thread panicked)");
@@ -2965,8 +2900,8 @@ mod tests {
     }
 
     // The request path resolves pins against a paged-in base snapshot with
-    // the same three-way semantics as a resident entry, and reports the
-    // page-in so the workspace ledgers can mirror it.
+    // the same three-way semantics as a resident entry, and the registry
+    // counts every page-in it makes.
     #[test]
     fn lookup_pages_in_spilled_entries_and_reports_it() {
         let path = temp_csr("lookup");
@@ -2976,8 +2911,8 @@ mod tests {
         assert!(reg.is_spilled(id), "a zero cap spills immediately");
         assert_eq!(reg.resident_bytes(), 0);
 
-        let (res, paged_in) = reg.lookup_counted(id, EpochPin::Latest);
-        assert!(paged_in);
+        let res = reg.lookup(id, EpochPin::Latest);
+        assert_eq!(reg.page_ins(id), 1);
         assert_eq!(res.unwrap().graph(), &tiny());
         // The zero cap re-spills as soon as the query's Arc is handed out.
         assert!(reg.is_spilled(id));
@@ -2986,12 +2921,10 @@ mod tests {
 
         // Pinned lookups agree with resident semantics: the base epoch
         // resolves, an epoch beyond the tip is unknown.
-        let (res, paged_in) = reg.lookup_counted(id, EpochPin::At(Epoch(0)));
-        assert!(paged_in);
-        assert!(res.is_ok());
-        let (res, _) = reg.lookup_counted(id, EpochPin::At(Epoch(5)));
+        assert!(reg.lookup(id, EpochPin::At(Epoch(0))).is_ok());
+        assert_eq!(reg.page_ins(id), 2);
         assert_eq!(
-            res.unwrap_err(),
+            reg.lookup(id, EpochPin::At(Epoch(5))).unwrap_err(),
             SolveError::UnknownEpoch {
                 graph: id,
                 epoch: Epoch(5)
@@ -3036,15 +2969,14 @@ mod tests {
         assert!(reg.is_spilled(id));
         std::fs::remove_file(&path).unwrap();
 
-        let (res, paged_in) = reg.lookup_counted(id, EpochPin::Latest);
-        assert!(!paged_in);
-        match res.unwrap_err() {
+        match reg.lookup(id, EpochPin::Latest).unwrap_err() {
             SolveError::SnapshotUnavailable { graph, detail } => {
                 assert_eq!(graph, id);
                 assert!(detail.contains("cannot re-open"), "detail: {detail}");
             }
             other => panic!("expected SnapshotUnavailable, got {other:?}"),
         }
+        assert_eq!(reg.page_ins(id), 0);
     }
 
     // The same failure on a direct accessor is a caller-visible panic with

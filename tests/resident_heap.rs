@@ -2,8 +2,9 @@
 //! graph, opening a mapped snapshot and applying a one-edit batch grow the
 //! live heap by no more than the graphs the registry then holds, plus a
 //! little bookkeeping; inducing a query from a resident graph into a warm
-//! engine allocates nothing; and a long run of edit batches grows the heap
-//! by the latest graph plus a few bytes per logged edit.
+//! engine allocates nothing; a long run of edit batches grows the heap by
+//! the latest graph plus a few bytes per logged edit; and a warm runner
+//! serves tenants it has never seen without growing the heap at all.
 //!
 //! A counting `#[global_allocator]` tracks live heap bytes for this whole
 //! test binary, which therefore holds a single test: nothing else allocates
@@ -15,6 +16,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// The system allocator, keeping a running total of live bytes.
 struct Counting;
@@ -160,4 +162,34 @@ fn each_resident_graph_is_held_once() {
         per_edit <= 32.0,
         "{logged} logged edits grew the heap by {per_edit:.1} B each beside the latest graph"
     );
+
+    // A tenant leaves nothing behind: once a `BatchRunner` is warm on eight
+    // resident graphs, 2048 BL induced solves for 2048 tenants it has never
+    // seen grow the heap by nothing.
+    let mut registry = ResidentRegistry::new();
+    let graphs: Vec<GraphId> = (0..8)
+        .map(|g| {
+            let mut rng = ChaCha8Rng::seed_from_u64(30 + g);
+            registry.register(generate::d_uniform(&mut rng, 2048, 4096, 3))
+        })
+        .collect();
+    let query = Arc::new((0..2048).step_by(8).collect::<Vec<u32>>());
+    let request = |k: usize, tenant: u64| {
+        SolveRequest::induced(graphs[k % graphs.len()], Arc::clone(&query))
+            .algorithm(Algorithm::Bl(BlConfig::default()))
+            .seed(k as u64)
+            .tenant(TenantId(tenant))
+            .build()
+    };
+    let mut runner = BatchRunner::new();
+    for k in 0..2 * graphs.len() {
+        drop(runner.solve(&registry, &request(k, 0)));
+    }
+    let (_, grew) = heap_growth(|| {
+        for tenant in 1..=2048 {
+            let k = tenant as usize % graphs.len();
+            drop(runner.solve(&registry, &request(k, tenant)));
+        }
+    });
+    assert_eq!(grew, 0, "2048 new tenants grew the heap by {grew} B");
 }

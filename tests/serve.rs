@@ -661,9 +661,8 @@ fn token_refill_survives_refill_periods_near_u64_max() {
 }
 
 /// Tenant affinity pins every tenant to its stable hash shard, and the
-/// pool's per-tenant rewarm report makes the win observable: one first-touch
-/// miss per tenant under affinity vs scatter across shards under
-/// round-robin.
+/// runner's per-tenant stats make the win observable: each tenant warms one
+/// shard under affinity, where round-robin scatters it across every shard.
 #[test]
 fn tenant_affinity_pins_tenants_and_rewarms_shard_locally() {
     let (registry, a, b) = registry();
@@ -690,30 +689,27 @@ fn tenant_affinity_pins_tenants_and_rewarms_shard_locally() {
             "tenant {:?} routed to more than one shard",
             t.tenant
         );
-    }
-    let pool = runner.shutdown();
-    let (hits_aff, misses_aff) = pool.tenant_rewarm_totals();
-    assert_eq!(
-        misses_aff, 5,
-        "under affinity each tenant first-touches exactly one workspace"
-    );
-    assert_eq!(hits_aff, 25, "every later request rewarms its home shard");
-    for &(tenant, hits, misses) in &pool.tenant_rewarms() {
-        assert_eq!((misses, hits), (1, 5), "tenant {tenant}: affinity ledger");
+        assert_eq!(
+            t.admitted, 6,
+            "tenant {:?}: all six on its home shard",
+            t.tenant
+        );
     }
 
     // Round-robin scatters the same stream: tenant i (tickets i, i+5, ...)
-    // first-touches all 4 shards.
+    // lands on all 4 shards.
     let mut runner = ShardedRunner::new(Arc::clone(&registry), &config(4, 8));
     let _ = runner.run_stream(requests);
-    let pool = runner.shutdown();
-    let (hits_rr, misses_rr) = pool.tenant_rewarm_totals();
-    assert_eq!(
-        misses_rr, 20,
-        "round-robin: 5 tenants × 4 shards first touches"
-    );
-    assert_eq!(hits_rr + misses_rr, 30);
-    assert!(misses_aff < misses_rr);
+    let stats = runner.stats();
+    assert_eq!(stats.per_tenant.len(), 5);
+    for t in &stats.per_tenant {
+        assert_eq!(
+            t.shards,
+            vec![0, 1, 2, 3],
+            "tenant {:?}: round-robin",
+            t.tenant
+        );
+    }
 }
 
 /// Strategy for the tenant-stream properties: a stream of (tenant, shape,
