@@ -51,7 +51,9 @@ pub enum TailChoice {
 pub struct SblConfig {
     /// Sampling probability override; defaults to the paper's
     /// `p = n^{-α}` (practically clamped, see
-    /// [`SblParams::practical_default`]).
+    /// [`SblParams::practical_default`]). An override is clamped to
+    /// `[1e-9, 1]`; it must not be NaN, which no clamp repairs (the `MISP`
+    /// decoder rejects a NaN `p` as a malformed field).
     pub p: Option<f64>,
     /// Dimension cap override; defaults to the paper's
     /// `d = log log n / (4 log log log n)` (practically clamped).
@@ -61,6 +63,12 @@ pub struct SblConfig {
     /// How many times a round may be resampled after a dimension-check
     /// failure before the cap is raised to the observed sample dimension
     /// (so the algorithm always terminates; the paper simply "starts over").
+    /// If that sample is still above BL's
+    /// [`MAX_ENUMERABLE_DIMENSION`] (with `p` near 1 every resample holds
+    /// the same huge edge), sampling stops and [`tail`](Self::tail)
+    /// finishes the residual instance. Each retry is one more sample and
+    /// induce, so a round can cost up to `max_round_retries + 1` of them;
+    /// nothing caps this value.
     pub max_round_retries: usize,
     /// Which algorithm finishes the residual instance.
     pub tail: TailChoice,
@@ -266,7 +274,6 @@ pub fn sbl_mis_rebuild<R: Rng + ?Sized>(
         let total_live = active.total_live_size() as u64;
 
         let mut failures = 0usize;
-        let mut effective_cap = dimension_cap;
         let (sampled, sub) = loop {
             let mut sampled = Vec::new();
             for &v in &alive {
@@ -281,17 +288,18 @@ pub fn sbl_mis_rebuild<R: Rng + ?Sized>(
                 marked[v as usize] = false;
             }
             cost.record(Cost::parallel_step(total_live));
-            if sub.dimension() <= effective_cap {
+            if sub.dimension() <= dimension_cap {
                 break (sampled, sub);
             }
             failures += 1;
             if failures > config.max_round_retries {
-                effective_cap = sub.dimension().min(MAX_ENUMERABLE_DIMENSION);
-                if sub.dimension() <= effective_cap {
-                    break (sampled, sub);
-                }
+                break (sampled, sub);
             }
         };
+        // No sample BL can take: the tail finishes the residual instance.
+        if sub.dimension() > MAX_ENUMERABLE_DIMENSION {
+            break;
+        }
 
         let mut sub = sub;
         let sample_dimension = sub.dimension();
@@ -496,7 +504,6 @@ pub fn sbl_on_active_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
         // configured retry budget. The sub-engine slot is re-induced in
         // place on every retry (first use allocates it).
         let mut failures = 0usize;
-        let mut effective_cap = dimension_cap;
         loop {
             sampled.clear();
             for &v in &alive {
@@ -529,7 +536,7 @@ pub fn sbl_on_active_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
                 marked[v as usize] = false;
             }
             cost.record(Cost::parallel_step(total_live));
-            if sub.dimension() <= effective_cap {
+            if sub.dimension() <= dimension_cap {
                 break;
             }
             failures += 1;
@@ -537,15 +544,19 @@ pub fn sbl_on_active_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
                 // Accept the sample anyway with a raised cap (the paper would
                 // restart from scratch; raising the cap keeps termination
                 // deterministic and only weakens the round's time bound).
-                effective_cap = sub.dimension().min(MAX_ENUMERABLE_DIMENSION);
-                if sub.dimension() <= effective_cap {
-                    break;
-                }
+                break;
             }
         }
 
-        // Run BL on the sampled sub-hypergraph.
+        // A sample above BL's enumerable dimension after the retry budget
+        // (p near 1 resamples the same huge edge) ends the sampling: the
+        // tail finishes the residual instance.
         let sub = sub_slot.as_mut().expect("induced at least once");
+        if sub.dimension() > MAX_ENUMERABLE_DIMENSION {
+            break;
+        }
+
+        // Run BL on the sampled sub-hypergraph.
         let sample_dimension = sub.dimension();
         let sample_edges = sub.n_live_edges();
         let (blues, bl_trace) =
@@ -759,6 +770,56 @@ mod tests {
         let out = sbl_mis(&h, &mut rng(9));
         assert!(out.independent_set.is_empty());
         assert!(is_valid_mis(&h, &out.independent_set));
+    }
+
+    /// Runs `solve` on a thread of its own and fails unless it answers
+    /// within a deadline, so a solve that never ends fails the test instead
+    /// of hanging the suite.
+    fn before_deadline<T: Send + 'static>(solve: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || tx.send(solve()).expect("the test waits"));
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the solve failed or missed its deadline");
+        worker.join().expect("solve thread");
+        out
+    }
+
+    /// With `p = 1` every resample is the whole instance, so a 25-vertex
+    /// edge keeps every sample above BL's enumerable dimension (20). Past
+    /// the retry budget both SBL bodies stop sampling and let the tail
+    /// finish the instance, instead of resampling forever.
+    #[test]
+    fn sbl_terminates_when_no_sample_gets_under_the_enumerable_dimension() {
+        let h = std::sync::Arc::new(hypergraph_from_edges(
+            30,
+            vec![
+                (0..25).collect::<Vec<u32>>(),
+                vec![24, 25],
+                vec![26, 27, 28],
+            ],
+        ));
+        for tail in [TailChoice::Greedy, TailChoice::Kuw] {
+            for rebuild in [false, true] {
+                let cfg = SblConfig {
+                    p: Some(1.0),
+                    tail_threshold: Some(1),
+                    tail,
+                    ..SblConfig::default()
+                };
+                let graph = std::sync::Arc::clone(&h);
+                let out = before_deadline(move || {
+                    if rebuild {
+                        sbl_mis_rebuild(&graph, &mut rng(13), &cfg)
+                    } else {
+                        sbl_mis_with(&graph, &mut rng(13), &cfg)
+                    }
+                });
+                assert_eq!(verify_mis(&h, &out.independent_set), Ok(()));
+                assert!(out.trace.rounds.is_empty(), "no sample was accepted");
+                assert_eq!(out.trace.tail_vertices, 30);
+            }
+        }
     }
 
     #[test]

@@ -314,6 +314,7 @@ pub struct ActiveHypergraph {
 
 /// Vertex→edge incidence index of an [`ActiveHypergraph`].
 #[derive(Debug, Clone, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 enum IncidenceIndex {
     /// No index: every update uses the scan paths (engines built from raw
     /// parts or by the allocating [`ActiveHypergraph::induced_by`]).
@@ -1027,20 +1028,26 @@ impl ActiveHypergraph {
     /// When the parent carries an incidence index and the mark set's total
     /// incident degree is small compared to the instance (the common case
     /// for SBL's samples), the kept edges are found by walking the marked
-    /// vertices' incidence lists — `O(Σ_v deg(v))` — instead of scanning
-    /// every live edge: an edge fully inside the mark set is in particular
-    /// incident to a marked vertex, and edges only ever lose members, so the
-    /// parent's construction-time incidence is a sound over-approximation.
-    /// Candidate edge ids are sorted ascending, which *is* frontier order
-    /// (the live-edge frontier is maintained ascending), so both derivations
-    /// keep edges in the identical order.
+    /// vertices' incidence lists instead of scanning every live edge: an
+    /// edge fully inside the mark set is incident to its smallest live
+    /// member, and edges only ever lose members, so the parent's
+    /// construction-time incidence still lists it there. The walk keeps an
+    /// edge only at that member, so each kept edge is found once; its id
+    /// joins a list sorted ascending, which *is* frontier order (the
+    /// live-edge frontier is maintained ascending), so both derivations keep
+    /// edges in the identical order.
     ///
     /// `out` may hold arbitrary previous state (a consumed sub-instance from
     /// an earlier round, an engine over a different id space). The cost is
-    /// `O(n_alive + min(T, Σ_v deg(v) · dim) + T_sub · log T_sub)` where `T`
-    /// is the parent's total live size and `T_sub` the sub-instance's —
-    /// crucially *not* `O(id_space)`: the previous state is unwound through
-    /// `out`'s alive list, and epoch stamps survive reuse by construction.
+    /// `O(n_alive + m + min(T, Σ_v deg(v)) + k log k + T_sub · log T_sub)`
+    /// where `m` is the parent's edge count (the walk budget reads
+    /// [`total_live_size`](Self::total_live_size), a dense pass while most
+    /// edges are live), `T` is the parent's total live size, `Σ_v deg(v)`
+    /// counts one edge read per walked incidence entry (plus a member check
+    /// per kept edge), `k` is the number of kept edges and `T_sub` the
+    /// sub-instance's total size — crucially *not* `O(id_space)`: the
+    /// previous state is unwound through `out`'s alive list, and epoch
+    /// stamps survive reuse by construction.
     ///
     /// Observationally `out` ends up identical to `self.induced_by(marked)`
     /// (the differential suites pin this); only the allocation behaviour and
@@ -1077,8 +1084,10 @@ impl ActiveHypergraph {
     /// the kept edges come from `h`'s own incidence lists, or from one scan
     /// of its edges once the walk would pass a quarter of `Σ_e |e|` (the
     /// [`induced_by_into`](Self::induced_by_into) rule, with the total read
-    /// in `O(1)`). Once this engine has warmed up on a same-shaped query, a
-    /// call allocates nothing.
+    /// in `O(1)`). The walk reads each edge incident to `vs` once and keeps
+    /// it at its smallest member if all its members are in `vs`, so only
+    /// the kept edge ids are sorted. Once this engine has warmed up on a
+    /// same-shaped query, a call allocates nothing.
     pub fn reset_induced(&mut self, h: &Hypergraph, vs: &[VertexId]) {
         self.begin_induced(h.n_vertices(), vs, |_| true);
         let walked = self.keep_incident_edges(
@@ -1137,6 +1146,14 @@ impl ActiveHypergraph {
     /// Keeps the live edges incident to `vs` that lie inside the alive set,
     /// ascending. Returns `false`, keeping nothing, once the walked
     /// incidence passes `budget`.
+    ///
+    /// Each live incident edge is decided where the walk meets it: edge `e`
+    /// is kept at `v` only if `v` is `e`'s smallest live member and every
+    /// live member is alive here. An inside edge has all its members in
+    /// `vs` (duplicate-free), so the walk keeps it exactly once, at its
+    /// smallest member, and no candidate list needs deduplicating. The cost
+    /// is one edge read per incident entry plus a sort of the kept ids
+    /// only; ascending edge ids are frontier order (and `h`'s edge order).
     fn keep_incident_edges<'g>(
         &mut self,
         vs: &[VertexId],
@@ -1145,24 +1162,33 @@ impl ActiveHypergraph {
         is_live: impl Fn(EdgeId) -> bool,
         live_edge: impl Fn(EdgeId) -> &'g [VertexId],
     ) -> bool {
-        let mut cand = std::mem::take(&mut self.scratch.pairs);
-        cand.clear();
+        let mut kept = std::mem::take(&mut self.scratch.pairs);
+        kept.clear();
         let mut walked = 0usize;
         for &v in vs {
             let incident = incident(v);
             walked += incident.len();
             if walked > budget {
-                self.scratch.pairs = cand;
+                self.scratch.pairs = kept;
                 return false;
             }
-            let live = incident.iter().filter(|&&e| is_live(e));
-            cand.extend(live.map(|&e| e as u64));
+            for &e in incident {
+                if !is_live(e) {
+                    continue;
+                }
+                let seg = live_edge(e);
+                if seg.first() == Some(&v)
+                    && seg.iter().all(|&u| self.status[u as usize] == V_ALIVE)
+                {
+                    kept.push(e as u64);
+                }
+            }
         }
-        // Ascending edge ids are frontier order (and `h`'s edge order).
-        cand.sort_unstable();
-        cand.dedup();
-        self.keep_edges_inside(cand.iter().map(|&e| live_edge(e as EdgeId)));
-        self.scratch.pairs = cand;
+        kept.sort_unstable();
+        for &e in &kept {
+            self.push_edge(live_edge(e as EdgeId));
+        }
+        self.scratch.pairs = kept;
         true
     }
 
@@ -1170,11 +1196,16 @@ impl ActiveHypergraph {
     fn keep_edges_inside<'g>(&mut self, edges: impl Iterator<Item = &'g [VertexId]>) {
         for seg in edges {
             if seg.iter().all(|&v| self.status[v as usize] == V_ALIVE) {
-                self.edge_vertices.extend_from_slice(seg);
-                self.edge_offsets.push(self.edge_vertices.len() as u32);
-                self.live_len.push(seg.len() as u32);
+                self.push_edge(seg);
             }
         }
+    }
+
+    /// Appends one edge to the arena, all its members live.
+    fn push_edge(&mut self, seg: &[VertexId]) {
+        self.edge_vertices.extend_from_slice(seg);
+        self.edge_offsets.push(self.edge_vertices.len() as u32);
+        self.live_len.push(seg.len() as u32);
     }
 
     /// The second half of an induce: every kept edge live, plus a compact
@@ -2051,6 +2082,260 @@ mod tests {
         assert_eq!(out.n_alive(), 0);
         assert_eq!(out.n_edges(), 0);
         out.debug_validate();
+    }
+
+    /// The induce walk that `keep_incident_edges` replaced, kept as its
+    /// oracle: every live incident edge of `vs` is pushed, the whole list
+    /// sorted and deduplicated, and each candidate re-checked by
+    /// `keep_edges_inside`.
+    impl ActiveHypergraph {
+        fn keep_incident_edges_by_sort<'g>(
+            &mut self,
+            vs: &[VertexId],
+            budget: usize,
+            incident: impl Fn(VertexId) -> &'g [EdgeId],
+            is_live: impl Fn(EdgeId) -> bool,
+            live_edge: impl Fn(EdgeId) -> &'g [VertexId],
+        ) -> bool {
+            let mut cand = Vec::new();
+            let mut walked = 0usize;
+            for &v in vs {
+                let incident = incident(v);
+                walked += incident.len();
+                if walked > budget {
+                    return false;
+                }
+                cand.extend(incident.iter().filter(|&&e| is_live(e)));
+            }
+            cand.sort_unstable();
+            cand.dedup();
+            self.keep_edges_inside(cand.iter().map(|&e| live_edge(e)));
+            true
+        }
+
+        /// [`reset_induced`](Self::reset_induced) over the oracle walk.
+        fn reset_induced_by_sort(&mut self, h: &Hypergraph, vs: &[VertexId]) {
+            self.begin_induced(h.n_vertices(), vs, |_| true);
+            let walked = self.keep_incident_edges_by_sort(
+                vs,
+                h.total_edge_size() / 4,
+                |v| h.incident_edges(v),
+                |_| true,
+                |e| h.edge(e),
+            );
+            if !walked {
+                self.keep_edges_inside(h.edges());
+            }
+            self.finish_induced();
+        }
+
+        /// [`induced_by_into`](Self::induced_by_into) over the oracle walk.
+        fn induced_by_into_by_sort(&self, vs: &[VertexId], out: &mut ActiveHypergraph) {
+            out.begin_induced(self.id_space, vs, |v| self.status[v as usize] == V_ALIVE);
+            let walked = !matches!(self.incidence, IncidenceIndex::None)
+                && out.keep_incident_edges_by_sort(
+                    vs,
+                    self.total_live_size() / 4,
+                    |v| self.incidence.incident(v).expect("checked above"),
+                    |e| self.edge_status[e as usize] == EDGE_LIVE,
+                    |e| self.live_edge(e),
+                );
+            if !walked {
+                out.keep_edges_inside(self.live_edges.iter().map(|&e| self.live_edge(e)));
+            }
+            out.finish_induced();
+        }
+    }
+
+    /// Everything an induce writes (arena, live lengths, alive set,
+    /// frontier, compact incidence), leaving out scratch and epoch stamps.
+    #[allow(clippy::type_complexity)]
+    fn induced_state(
+        e: &ActiveHypergraph,
+    ) -> (
+        usize,
+        &[u8],
+        &[VertexId],
+        &[u32],
+        &[VertexId],
+        &[u32],
+        &[u8],
+        &[EdgeId],
+        &IncidenceIndex,
+    ) {
+        (
+            e.id_space,
+            &e.status,
+            &e.alive_list,
+            &e.edge_offsets,
+            &e.edge_vertices,
+            &e.live_len,
+            &e.edge_status,
+            &e.live_edges,
+            &e.incidence,
+        )
+    }
+
+    /// A random graph for the walk oracle: up to 60 edges of 1–20 members
+    /// over at most 48 vertices (singletons included), a few edges
+    /// duplicated as `compact` can leave them, optionally a hub in 512–575
+    /// more edges of 2–20 members, and up to 8 grown isolated vertices.
+    fn walk_oracle_graph(rng: &mut rand_chacha::ChaCha8Rng) -> Hypergraph {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        let hub = rng.gen_bool(0.3);
+        let n = if hub {
+            rng.gen_range(64u32..=160)
+        } else {
+            rng.gen_range(1u32..=48)
+        };
+        let pool: Vec<VertexId> = (0..n).collect();
+        let random_edge = |rng: &mut rand_chacha::ChaCha8Rng, size: usize| {
+            let mut e = pool.clone();
+            e.shuffle(rng);
+            e.truncate(size);
+            e.sort_unstable();
+            e
+        };
+        let mut edges: Vec<Vec<VertexId>> = Vec::new();
+        for _ in 0..rng.gen_range(0..=60) {
+            let size = if rng.gen_bool(0.15) {
+                1
+            } else {
+                rng.gen_range(1..=20usize.min(n as usize))
+            };
+            edges.push(random_edge(rng, size));
+        }
+        for _ in 0..rng.gen_range(0..=4) {
+            if !edges.is_empty() {
+                let e = edges[rng.gen_range(0..edges.len())].clone();
+                edges.insert(rng.gen_range(0..=edges.len()), e);
+            }
+        }
+        if hub {
+            let hub = rng.gen_range(0..n);
+            for _ in 0..rng.gen_range(512..576) {
+                let size = rng.gen_range(1..=19);
+                let mut e = random_edge(rng, size + 1);
+                e.retain(|&v| v != hub);
+                e.truncate(size);
+                e.push(hub);
+                e.sort_unstable();
+                edges.push(e);
+            }
+        }
+        Hypergraph::from_sorted_edges(n + rng.gen_range(0u32..=8), edges)
+    }
+
+    /// Queries against an id space of `n`: empty, ascending, unsorted, one
+    /// around the vertex of highest degree and its edges (the hub), one of
+    /// a random edge's members, and the whole id space.
+    fn walk_oracle_queries(
+        rng: &mut rand_chacha::ChaCha8Rng,
+        h: &Hypergraph,
+    ) -> Vec<Vec<VertexId>> {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        let n = h.n_vertices() as u32;
+        let mut ids: Vec<VertexId> = (0..n).collect();
+        let mut queries = vec![Vec::new()];
+        for _ in 0..4 {
+            ids.shuffle(rng);
+            let mut q = ids[..rng.gen_range(0..=12.min(ids.len()))].to_vec();
+            if rng.gen_bool(0.5) {
+                q.sort_unstable();
+            }
+            queries.push(q);
+        }
+        let hub = (0..n).max_by_key(|&v| h.degree(v)).unwrap_or(0);
+        if n > 0 && h.n_edges() > 0 {
+            let mut q = vec![hub];
+            for _ in 0..3 {
+                let e = h.incident_edges(hub).choose(rng).copied();
+                q.extend(e.map_or(&[][..], |e| h.edge(e)));
+            }
+            let e = h.edge(rng.gen_range(0..h.n_edges() as EdgeId));
+            q.extend_from_slice(e);
+            q.sort_unstable();
+            q.dedup();
+            q.shuffle(rng);
+            queries.push(q);
+            let e = h.edge(rng.gen_range(0..h.n_edges() as EdgeId));
+            queries.push(e.to_vec());
+        }
+        queries.push((0..n).collect());
+        queries
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The walk that keeps each inside edge at its smallest member
+        /// writes the same sub-engine as the sort-and-dedup walk it
+        /// replaced — arena, live lengths, frontier and compact incidence —
+        /// through `reset_induced` on a reused engine, and through
+        /// `induced_by_into` from a dirty full-incidence parent (trimmed
+        /// members, discarded edges) and from a dirty compact-incidence
+        /// sub-engine.
+        #[test]
+        fn induce_walk_matches_the_sorting_oracle(seed in any::<u64>()) {
+            use rand::SeedableRng;
+            let rng = &mut rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let h = walk_oracle_graph(rng);
+            let queries = walk_oracle_queries(rng, &h);
+            let n = h.n_vertices();
+
+            let dirty = || ActiveHypergraph::from_parts(vec![true, true, false], vec![vec![0, 1]]);
+            let (mut walk, mut oracle) = (dirty(), dirty());
+            for q in &queries {
+                walk.reset_induced(&h, q);
+                oracle.reset_induced_by_sort(&h, q);
+                prop_assert_eq!(induced_state(&walk), induced_state(&oracle));
+            }
+
+            let flags = |vs: &[VertexId]| {
+                let mut f = vec![false; n];
+                for &v in vs {
+                    f[v as usize] = true;
+                }
+                f
+            };
+
+            // A parent with trimmed members and discarded edges.
+            let mut parent = ActiveHypergraph::from_hypergraph(&h);
+            let blues: Vec<VertexId> = queries[1].iter().copied().take(4).collect();
+            parent.kill_vertices(&blues);
+            parent.shrink_edges_by(&flags(&blues), &blues);
+            let reds: Vec<VertexId> = queries[2]
+                .iter()
+                .copied()
+                .filter(|v| !blues.contains(v))
+                .take(2)
+                .collect();
+            parent.kill_vertices(&reds);
+            parent.discard_edges_touching(&flags(&reds), &reds);
+
+            for q in &queries {
+                parent.induced_by_into(&flags(q), q, &mut walk);
+                parent.induced_by_into_by_sort(q, &mut oracle);
+                prop_assert_eq!(induced_state(&walk), induced_state(&oracle));
+            }
+
+            // A compact-incidence parent: the whole-set induce, trimmed.
+            let whole = queries.last().expect("the whole id space");
+            let mut sub = ActiveHypergraph::from_parts(Vec::new(), Vec::new());
+            parent.induced_by_into(&flags(whole), whole, &mut sub);
+            let trim: Vec<VertexId> = sub.alive_slice().iter().copied().step_by(5).collect();
+            sub.kill_vertices(&trim);
+            sub.shrink_edges_by(&flags(&trim), &trim);
+            for q in &queries {
+                sub.induced_by_into(&flags(q), q, &mut walk);
+                sub.induced_by_into_by_sort(q, &mut oracle);
+                prop_assert_eq!(induced_state(&walk), induced_state(&oracle));
+            }
+        }
     }
 
     #[cfg(feature = "reference-engine")]

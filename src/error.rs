@@ -195,7 +195,7 @@ mod tests {
             assert_eq!(e.code(), code, "{e:?}");
             assert_eq!(Error::from(e).code(), code);
         }
-        let solve: [(SolveError, u16); 8] = [
+        let solve: [(SolveError, u16); 9] = [
             (
                 SolveError::NotLinear(LinearError::NotLinear {
                     first: 0,
@@ -246,6 +246,13 @@ mod tests {
                     reason: DenyReason::InFlightCap,
                 },
                 208,
+            ),
+            (
+                SolveError::DimensionTooLarge {
+                    dimension: 21,
+                    max: 20,
+                },
+                209,
             ),
         ];
         for (e, code) in solve {

@@ -90,6 +90,7 @@
 //! | 206  | invalid induced query |
 //! | 207  | admission denied: token bucket exhausted |
 //! | 208  | admission denied: in-flight cap |
+//! | 209  | BL request above its enumerable dimension (20) |
 //!
 //! # Example
 //!

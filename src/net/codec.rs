@@ -10,7 +10,9 @@
 //! process. Every field that participates in the fingerprint — seeds,
 //! epochs, independent sets, cost totals, trace records down to their
 //! `f64`s (encoded via [`f64::to_bits`], so NaNs and signed zeros survive)
-//! and error details — therefore round-trips exactly.
+//! and error details — therefore round-trips exactly. The one field a
+//! decoder refuses although it encodes is a NaN SBL sampling probability
+//! ([`SblConfig::p`]): no solve could use it, so it is malformed.
 //!
 //! All multi-byte integers are little-endian. Variable-length sequences are
 //! a `u32` element count followed by the elements; every count is
@@ -235,6 +237,7 @@ impl SolveError {
                 reason: DenyReason::InFlightCap,
                 ..
             } => 208,
+            SolveError::DimensionTooLarge { .. } => 209,
         }
     }
 }
@@ -394,7 +397,11 @@ fn put_sbl_config(out: &mut Vec<u8>, c: &SblConfig) {
 fn read_sbl_config(r: &mut Reader<'_>) -> Result<SblConfig, FrameError> {
     let p = match r.u8("sbl p flag")? {
         0 => None,
-        1 => Some(r.f64("sbl p")?),
+        // NaN is no probability: clamping passes it through to the coins.
+        1 => match r.f64("sbl p")? {
+            p if p.is_nan() => return r.fail("sbl p is NaN"),
+            p => Some(p),
+        },
         _ => return r.fail("sbl p flag"),
     };
     let dimension_cap = read_opt_u64(r, "sbl dimension_cap")?.map(|v| v as usize);
@@ -706,6 +713,10 @@ fn put_solve_error(out: &mut Vec<u8>, e: &SolveError) {
             // The deny reason is the code itself (207/208).
             put_u64(out, tenant.0);
         }
+        SolveError::DimensionTooLarge { dimension, max } => {
+            put_usize(out, *dimension);
+            put_usize(out, *max);
+        }
     }
 }
 
@@ -742,6 +753,10 @@ fn read_solve_error(r: &mut Reader<'_>) -> Result<SolveError, FrameError> {
             } else {
                 DenyReason::InFlightCap
             },
+        }),
+        209 => Ok(SolveError::DimensionTooLarge {
+            dimension: r.usize("too-large dimension")?,
+            max: r.usize("enumerable dimension")?,
         }),
         _ => r.fail("solve error code"),
     }

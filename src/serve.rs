@@ -249,6 +249,7 @@
 //! ```
 
 use crate::batch::BatchRunner;
+use hypergraph::degree::MAX_ENUMERABLE_DIMENSION;
 use hypergraph::edit::{apply_edits, EditError, EditLog, GraphEdit};
 use hypergraph::io::{ParseError, ReadError};
 use hypergraph::{ActiveHypergraph, Hypergraph, VertexId};
@@ -1345,7 +1346,9 @@ impl ResidentRegistry {
 pub enum Algorithm {
     /// SBL (Algorithm 1, the paper's contribution).
     Sbl(SblConfig),
-    /// Beame–Luby (Algorithm 2) — the induced-query headliner.
+    /// Beame–Luby (Algorithm 2) — the induced-query headliner. An instance
+    /// above dimension 20 is answered with
+    /// [`SolveError::DimensionTooLarge`] instead of being solved.
     Bl(BlConfig),
     /// Karp–Upfal–Wigderson style parallel search.
     Kuw,
@@ -1630,6 +1633,17 @@ pub enum SolveError {
         /// Which limit was hit.
         reason: DenyReason,
     },
+    /// [`Algorithm::Bl`] on an instance (a full graph, or an induced
+    /// query's sub-instance) holding an edge larger than Beame–Luby's
+    /// degree machinery enumerates
+    /// ([`MAX_ENUMERABLE_DIMENSION`]).
+    /// Answered before BL runs; SBL takes such instances.
+    DimensionTooLarge {
+        /// The instance's dimension (its largest edge).
+        dimension: usize,
+        /// The largest dimension BL takes.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for SolveError {
@@ -1683,6 +1697,11 @@ impl std::fmt::Display for SolveError {
                 };
                 write!(f, "admission denied for tenant {}: {reason}", tenant.0)
             }
+            SolveError::DimensionTooLarge { dimension, max } => write!(
+                f,
+                "Beame-Luby takes dimension <= {max}, the instance has dimension {dimension} \
+                 (use SBL)"
+            ),
         }
     }
 }
@@ -1828,6 +1847,14 @@ pub(crate) fn execute_resolved(
     out
 }
 
+/// The answer to a BL request above the dimension BL enumerates.
+fn dimension_too_large(dimension: usize) -> SolveError {
+    SolveError::DimensionTooLarge {
+        dimension,
+        max: MAX_ENUMERABLE_DIMENSION,
+    }
+}
+
 fn failed(seed: u64, error: SolveError) -> SolveOutcome {
     SolveOutcome {
         ticket: 0,
@@ -1878,6 +1905,9 @@ fn solve_full(
         Algorithm::Sbl(cfg) => {
             let o = sbl_mis_in(h, rng, cfg, ws);
             outcome(seed, o.independent_set, SolveTrace::Sbl(o.trace), &o.cost)
+        }
+        Algorithm::Bl(_) if h.dimension() > MAX_ENUMERABLE_DIMENSION => {
+            failed(seed, dimension_too_large(h.dimension()))
         }
         Algorithm::Bl(cfg) => {
             let o = bl_mis_in(h, rng, cfg, ws);
@@ -1968,6 +1998,9 @@ fn solve_induced(
 
     let mut cost = CostTracker::new();
     let out = match algorithm {
+        Algorithm::Bl(_) if sub.dimension() > MAX_ENUMERABLE_DIMENSION => {
+            failed(seed, dimension_too_large(sub.dimension()))
+        }
         Algorithm::Bl(cfg) => {
             let (set, trace) = bl_on_active_in(&mut sub, rng, cfg, &mut cost, ws);
             outcome(seed, set, SolveTrace::Bl(trace), &cost)

@@ -267,6 +267,13 @@ fn solve_error_variants_round_trip() {
             },
             208,
         ),
+        (
+            SolveError::DimensionTooLarge {
+                dimension: 21,
+                max: 20,
+            },
+            209,
+        ),
     ];
     for (i, (error, code)) in errors.into_iter().enumerate() {
         assert_eq!(error.code(), code, "pinned code of {error:?}");
@@ -445,6 +452,43 @@ fn lying_headers_are_rejected_with_stable_codes() {
         }
     );
     assert_eq!(err.code(), 107);
+}
+
+/// An SBL request whose sampling probability is `p`.
+fn sbl_with_p(graph: GraphId, p: f64) -> SolveRequest {
+    SolveRequest::for_graph(graph)
+        .algorithm(Algorithm::Sbl(SblConfig {
+            p: Some(p),
+            ..SblConfig::default()
+        }))
+        .seed(0x9A9)
+        .build()
+}
+
+/// A NaN SBL sampling probability is a malformed field (code 108): no clamp
+/// turns it into a probability, and the coins assert on it. Every other
+/// `f64` still decodes, to be clamped into `[1e-9, 1]` by the solve.
+#[test]
+fn a_nan_sampling_probability_is_a_malformed_field() {
+    let (_registry, a, _b) = registry();
+    let bits = [
+        f64::NAN.to_bits(),
+        0x7FF0_0000_0000_0001,
+        0xFFF8_0000_0000_0000,
+    ];
+    for nan in bits.map(f64::from_bits) {
+        let bytes = encode_request_frame(3, &sbl_with_p(a, nan));
+        let (frame, _) = decode_frame(&bytes, DEFAULT_MAX_PAYLOAD).expect("valid frame");
+        let err = decode_request_payload(frame.payload).unwrap_err();
+        assert!(matches!(err, FrameError::Malformed { .. }), "{err:?}");
+        assert_eq!(err.code(), 108);
+    }
+    for p in [0.0, 1e-300, 0.5, 1.0, 7.0, -1.0, f64::INFINITY] {
+        let bytes = encode_request_frame(3, &sbl_with_p(a, p));
+        let (frame, _) = decode_frame(&bytes, DEFAULT_MAX_PAYLOAD).expect("valid frame");
+        let (_, request) = decode_request_payload(frame.payload).expect("a number decodes");
+        assert_eq!(request, sbl_with_p(a, p));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -914,4 +958,112 @@ fn replies_route_to_the_connection_that_asked() {
         stats.connections.iter().map(|c| c.responses).sum::<u64>(),
         requests.len() as u64
     );
+}
+
+/// Runs `talk` (a client's side of a loopback exchange) on a thread of its
+/// own and fails unless it returns within a deadline, so a server that
+/// never answers fails the test instead of hanging it.
+fn before_deadline<T: Send + 'static>(talk: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || tx.send(talk()).expect("the test waits"));
+    let out = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("the exchange failed or missed its deadline");
+    worker.join().expect("client thread");
+    out
+}
+
+/// A frame carrying a NaN SBL `p` costs its own connection, not the
+/// server: it is answered with a malformed-field error frame and closed,
+/// and a well-formed request on a fresh connection is answered exactly as
+/// in process.
+#[test]
+fn a_nan_sampling_probability_leaves_the_server_answering() {
+    let (registry, a, _b) = registry();
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&registry), &loopback_config(1))
+        .expect("bind loopback");
+    let addr = server.local_addr();
+    let good = sbl_with_p(a, 0.5);
+    let request = good.clone();
+    let (kind, error, reply) = before_deadline(move || {
+        let mut raw = TcpStream::connect(addr).expect("connect");
+        raw.write_all(&encode_request_frame(7, &sbl_with_p(a, f64::NAN)))
+            .expect("send the NaN frame");
+        let (kind, payload) = read_raw_frame(&mut raw);
+        let mut rest = Vec::new();
+        raw.read_to_end(&mut rest).expect("read to close");
+        assert!(rest.is_empty(), "the server closed after the error frame");
+        let mut client = Client::connect(addr).expect("connect again");
+        client.submit(&request).expect("submit");
+        (
+            kind,
+            payload,
+            client.recv().expect("the good request's reply"),
+        )
+    });
+    assert_eq!(kind, FrameKind::Error);
+    let remote = decode_error_payload(&error).expect("decodable error payload");
+    assert_eq!(remote.code, 108, "{remote:?}");
+    assert!(remote.message.contains("NaN"), "{}", remote.message);
+    assert_eq!(
+        reply.outcome.fingerprint(),
+        BatchRunner::new().solve(&registry, &good).fingerprint()
+    );
+    let stats = server.shutdown();
+    assert_eq!(
+        stats.submitted, 1,
+        "only the good request reached the runner"
+    );
+    assert_eq!(stats.delivered, 1);
+}
+
+/// BL above its enumerable dimension comes back over the wire as a
+/// `DimensionTooLarge` outcome (code 209), identical to the in-process
+/// answer, and the shard that answered it serves the next request.
+#[test]
+fn bl_above_the_enumerable_dimension_travels_the_wire() {
+    let (registry, _a, b) = registry();
+    let wide = Arc::new(hypergraph::builder::hypergraph_from_edges(
+        23,
+        vec![(0..21).collect::<Vec<u32>>(), vec![20, 21]],
+    ));
+    let requests = vec![
+        SolveRequest::adhoc(wide)
+            .algorithm(Algorithm::Bl(BlConfig::default()))
+            .seed(21)
+            .build(),
+        SolveRequest::induced(b, query(120, 40, 21))
+            .algorithm(Algorithm::Bl(BlConfig::default()))
+            .seed(22)
+            .build(),
+    ];
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&registry), &loopback_config(1))
+        .expect("bind loopback");
+    let addr = server.local_addr();
+    let sent = requests.clone();
+    let replies = before_deadline(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        sent.iter()
+            .map(|request| {
+                client.submit(request).expect("submit");
+                client.recv().expect("reply").outcome
+            })
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(
+        replies[0].error,
+        Some(SolveError::DimensionTooLarge {
+            dimension: 21,
+            max: 20
+        })
+    );
+    assert_eq!(replies[1].error, None);
+    let mut reference = BatchRunner::new();
+    for (reply, request) in replies.iter().zip(&requests) {
+        assert_eq!(
+            reply.fingerprint(),
+            reference.solve(&registry, request).fingerprint()
+        );
+    }
+    assert_eq!(server.shutdown().delivered, 2);
 }

@@ -374,14 +374,16 @@ fn overcollecting_panics_instead_of_deadlocking() {
     let _ = runner.collect_ordered(1);
 }
 
-/// A dying worker shard (here: BL's documented panic on dimension > 20) must
-/// surface as a collector panic naming the shard — even while *other* shards
-/// are still alive and keeping the result channel open — never as a hang.
+/// A dying worker shard (here: the coins' assertion on a NaN SBL sampling
+/// probability, which only the wire decoder rejects) must surface as a
+/// collector panic naming the shard — even while *other* shards are still
+/// alive and keeping the result channel open — never as a hang.
 #[test]
 #[should_panic(expected = "died")]
 fn dead_worker_panics_the_collector_instead_of_hanging() {
     let (registry, _a, _b) = registry();
-    // One edge of size 24 > MAX_ENUMERABLE_DIMENSION: bl_mis panics.
+    // One edge of size 24, above any dimension cap, and a tail threshold
+    // of 1: SBL samples, and its first coin panics on p = NaN.
     let oversized = Arc::new(hypergraph::builder::hypergraph_from_edges(
         30,
         vec![(0u32..24).collect::<Vec<_>>()],
@@ -389,7 +391,11 @@ fn dead_worker_panics_the_collector_instead_of_hanging() {
     let mut runner = ShardedRunner::new(Arc::clone(&registry), &config(2, 4));
     runner.submit(
         SolveRequest::adhoc(oversized)
-            .algorithm(Algorithm::Bl(BlConfig::default()))
+            .algorithm(Algorithm::Sbl(SblConfig {
+                p: Some(f64::NAN),
+                tail_threshold: Some(1),
+                ..SblConfig::default()
+            }))
             .seed(1)
             .build(),
     );
@@ -977,5 +983,99 @@ fn empty_instances_have_pinned_outcomes() {
             expected(Some(Epoch(0)), induced_rounds),
             "{algorithm:?} induced"
         );
+    }
+}
+
+/// A graph holding one edge of `wide` vertices (plus two small edges and an
+/// isolated vertex), so its dimension is `wide`.
+fn one_wide_edge(wide: u32) -> Hypergraph {
+    hypergraph::builder::hypergraph_from_edges(
+        wide as usize + 4,
+        vec![
+            (0..wide).collect::<Vec<u32>>(),
+            vec![wide - 1, wide],
+            vec![wide + 1, wide + 2],
+        ],
+    )
+}
+
+/// BL above its enumerable dimension (20) is answered with
+/// `DimensionTooLarge` before BL runs — on ad-hoc, resident and induced
+/// targets — instead of tripping BL's assertion on the shard. A query
+/// that leaves the wide edge out is solved as before, and the runner
+/// answers the next request exactly as a fresh one does.
+#[test]
+fn bl_above_the_enumerable_dimension_is_an_outcome() {
+    let h = Arc::new(one_wide_edge(21));
+    let mut registry = ResidentRegistry::new();
+    let id = registry.register((*h).clone());
+    let bl = || Algorithm::Bl(BlConfig::default());
+    let too_large = Some(SolveError::DimensionTooLarge {
+        dimension: 21,
+        max: 20,
+    });
+    let mut runner = BatchRunner::new();
+    for request in [
+        SolveRequest::adhoc(Arc::clone(&h)),
+        SolveRequest::for_graph(id),
+        SolveRequest::induced(id, (0..24).rev().collect::<Vec<u32>>()),
+    ] {
+        let out = runner.solve(&registry, &request.algorithm(bl()).seed(3).build());
+        assert_eq!(out.error, too_large);
+        assert!(out.independent_set.is_empty());
+        assert_eq!(out.error.as_ref().map(SolveError::code), Some(209));
+    }
+    let narrow = SolveRequest::induced(id, (1..24).collect::<Vec<u32>>())
+        .algorithm(bl())
+        .seed(4)
+        .build();
+    let out = runner.solve(&registry, &narrow);
+    assert_eq!(out.error, None);
+    verify_induced(
+        &registry,
+        id,
+        &(1..24).collect::<Vec<u32>>(),
+        &out.independent_set,
+    );
+    assert_eq!(
+        out.fingerprint(),
+        BatchRunner::new().solve(&registry, &narrow).fingerprint()
+    );
+}
+
+/// SBL with `p = 1` on a graph whose 25-vertex edge keeps every sample
+/// above dimension 20 finishes through its tail on the serving path, for
+/// full and induced targets, instead of resampling forever. Each solve
+/// runs on a thread of its own under a deadline, so a hang fails the test.
+#[test]
+fn sbl_with_no_admissible_sample_finishes_through_its_tail() {
+    let h = one_wide_edge(25);
+    let n = h.n_vertices() as u32;
+    let mut registry = ResidentRegistry::new();
+    let id = registry.register(h.clone());
+    let registry = Arc::new(registry);
+    let sbl = Algorithm::Sbl(SblConfig {
+        p: Some(1.0),
+        tail_threshold: Some(1),
+        ..SblConfig::default()
+    });
+    for request in [
+        SolveRequest::adhoc(Arc::new(h.clone())),
+        SolveRequest::for_graph(id),
+        SolveRequest::induced(id, (0..n).collect::<Vec<u32>>()),
+    ] {
+        let request = request.algorithm(sbl.clone()).seed(9).build();
+        let registry = Arc::clone(&registry);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            tx.send(BatchRunner::new().solve(&registry, &request))
+                .expect("the test waits")
+        });
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the solve failed or missed its deadline");
+        worker.join().expect("solve thread");
+        assert_eq!(out.error, None);
+        assert_eq!(verify_mis(&h, &out.independent_set), Ok(()));
     }
 }
