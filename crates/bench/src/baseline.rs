@@ -1,16 +1,17 @@
 //! The bench-regression gate: parse the `BENCH_*.json` artifacts and compare
 //! a fresh run against a committed baseline.
 //!
-//! The `experiments` bin emits three JSON artifacts (`BENCH_activeset.json`,
-//! `BENCH_batch.json`, `BENCH_serve.json`). Committed copies live in
-//! `bench/baselines/`; CI re-runs the guards and then invokes
-//! `experiments --check-against bench/baselines`, which routes through
-//! [`check_against`] per artifact. The gate fails the job on
+//! The `experiments` bin emits five JSON artifacts (`BENCH_activeset.json`,
+//! `BENCH_batch.json`, `BENCH_serve.json`, `BENCH_coldstart.json`,
+//! `BENCH_net.json`) into the working directory, where they stay untracked.
+//! The committed copies live in `bench/baselines/`; CI re-runs the guards
+//! and then invokes `experiments --check-against bench/baselines`, which
+//! routes through [`check_against`] per artifact. The gate fails the job on
 //!
 //! * **fingerprint mismatches** — deterministic fields (`work`, `depth`,
-//!   `rounds`, outcome fingerprints, admission counters, …) must match the
-//!   baseline *exactly*, and the `*_identical` determinism flags must be
-//!   `true`;
+//!   `rounds`, `rng_draws`, outcome fingerprints, admission counters, …)
+//!   must match the baseline *exactly*, and the `*_identical` determinism
+//!   flags must be `true`;
 //! * **wall-time regressions** — every `*_ms` field may exceed its baseline
 //!   by at most the tolerance band;
 //! * **speedup erosion** — every `speedup*` field must stay above
@@ -270,6 +271,7 @@ fn rule_for(key: &str) -> Rule {
         "work"
         | "depth"
         | "rounds"
+        | "rng_draws"
         | "warm_fresh_allocations"
         | "outcome_fingerprint"
         | "set_fingerprint" => Rule::Exact,
@@ -567,6 +569,27 @@ mod tests {
                 .failures
                 .iter()
                 .any(|f| f.contains("fingerprint mismatch") && f.contains("storage")),
+            "failures: {:?}",
+            report.failures
+        );
+    }
+
+    /// Keystream words per solve gate exactly: one word more is a change in
+    /// how the solve consumes its RNG.
+    #[test]
+    fn rng_draws_gate_exactly() {
+        let fresh = FRESH.replace(
+            "\"outcomes_identical\": true,",
+            "\"outcomes_identical\": true, \"rng_draws\": 200962,",
+        );
+        assert!(check_against(&fresh, &fresh, 0.0).unwrap().passed());
+        let drifted = fresh.replace("\"rng_draws\": 200962", "\"rng_draws\": 200963");
+        let report = check_against(&fresh, &drifted, 10.0).unwrap();
+        assert!(
+            report
+                .failures
+                .iter()
+                .any(|f| f.contains("fingerprint mismatch") && f.contains("rng_draws")),
             "failures: {:?}",
             report.failures
         );

@@ -1831,12 +1831,34 @@ fn push_batch_row(
     ));
 }
 
+/// A `ChaCha8Rng` that counts the 32-bit keystream words drawn from it
+/// (`next_u64` draws two), so the activeset guard can gate how many random
+/// words a solve reads.
+#[cfg(feature = "reference-engine")]
+struct CountingRng {
+    inner: rand_chacha::ChaCha8Rng,
+    words: u64,
+}
+
+#[cfg(feature = "reference-engine")]
+impl rand::RngCore for CountingRng {
+    fn next_u32(&mut self) -> u32 {
+        self.words += 1;
+        self.inner.next_u32()
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.words += 2;
+        self.inner.next_u64()
+    }
+}
+
 /// One SBL solve of `h` on a freshly built engine of type `E` with a fresh
 /// workspace — the activeset guard's timed unit. Returns the set and costs.
 #[cfg(feature = "reference-engine")]
 fn sbl_on_fresh_engine<E: hypergraph::ActiveEngine + Send + 'static>(
     h: &hypergraph::Hypergraph,
-    rng: &mut rand_chacha::ChaCha8Rng,
+    rng: &mut CountingRng,
     cfg: &SblConfig,
 ) -> (Vec<u32>, CostTracker) {
     let mut engine = E::from_hypergraph(h);
@@ -1848,9 +1870,11 @@ fn sbl_on_fresh_engine<E: hypergraph::ActiveEngine + Send + 'static>(
 /// Engine regression guard: SBL on the `sbl_scaling` workloads, run on both
 /// the flat `ActiveHypergraph` engine and the pre-flat reference engine, with
 /// identical seeds. Asserts the engines make identical decisions (same
-/// independent set, same cost totals) and records wall time and per-round
-/// cost for both into `BENCH_activeset.json` (consumed by CI as an artifact;
-/// the acceptance bar is a ≥ 2× speedup on the largest workload).
+/// independent set, same cost totals, same number of keystream words read)
+/// and records wall time and per-round cost for both, plus the words one
+/// solve reads (`rng_draws`), into `BENCH_activeset.json` (consumed by CI
+/// as an artifact; the acceptance bar is a ≥ 2× speedup on the largest
+/// workload).
 #[cfg(feature = "reference-engine")]
 fn activeset_engine_guard(quick: bool) {
     use hypergraph::ReferenceActiveHypergraph;
@@ -1907,27 +1931,31 @@ fn activeset_engine_guard(quick: bool) {
         let h = paper_workload(n, 1);
         let cfg = SblConfig::default();
 
+        let counting = || CountingRng {
+            inner: rng_for(n as u64),
+            words: 0,
+        };
         let mut best_ref = f64::INFINITY;
         let mut reference = None;
         for _ in 0..iters {
-            let mut rng = rng_for(n as u64);
+            let mut rng = counting();
             let t0 = Instant::now();
             let out = sbl_on_fresh_engine::<ReferenceActiveHypergraph>(&h, &mut rng, &cfg);
             best_ref = best_ref.min(t0.elapsed().as_secs_f64() * 1e3);
-            reference = Some(out);
+            reference = Some((out, rng.words));
         }
-        let (reference_set, reference_cost) = reference.expect("iters >= 1");
+        let ((reference_set, reference_cost), reference_words) = reference.expect("iters >= 1");
 
         let mut best_flat = f64::INFINITY;
         let mut flat = None;
         for _ in 0..iters {
-            let mut rng = rng_for(n as u64);
+            let mut rng = counting();
             let t0 = Instant::now();
             let out = sbl_on_fresh_engine::<ActiveHypergraph>(&h, &mut rng, &cfg);
             best_flat = best_flat.min(t0.elapsed().as_secs_f64() * 1e3);
-            flat = Some(out);
+            flat = Some((out, rng.words));
         }
-        let (flat_set, flat_cost) = flat.expect("iters >= 1");
+        let ((flat_set, flat_cost), rng_draws) = flat.expect("iters >= 1");
 
         verify_mis(&h, &flat_set).expect("activeset: invalid MIS");
         assert_eq!(
@@ -1939,6 +1967,10 @@ fn activeset_engine_guard(quick: bool) {
             (fc.work, fc.depth, flat_cost.rounds()),
             (rc.work, rc.depth, reference_cost.rounds()),
             "activeset: engines disagree on cost totals (n={n})"
+        );
+        assert_eq!(
+            rng_draws, reference_words,
+            "activeset: engines read different numbers of keystream words (n={n})"
         );
 
         let rounds = flat_cost.rounds().max(1);
@@ -1954,13 +1986,14 @@ fn activeset_engine_guard(quick: bool) {
             format!("{:.3}", best_ref / rounds as f64),
             format!("{:.3}", best_flat / rounds as f64),
             (fc.work / rounds).to_string(),
+            rng_draws.to_string(),
         ]);
         entries.push(format!(
             concat!(
                 "    {{\"n\": {}, \"m\": {}, \"reference_ms\": {:.4}, \"flat_ms\": {:.4}, ",
                 "\"speedup\": {:.3}, \"rounds\": {}, \"work\": {}, \"depth\": {}, ",
                 "\"reference_ms_per_round\": {:.5}, \"flat_ms_per_round\": {:.5}, ",
-                "\"work_per_round\": {}, \"set_fingerprint\": \"0x{:016x}\", ",
+                "\"work_per_round\": {}, \"rng_draws\": {}, \"set_fingerprint\": \"0x{:016x}\", ",
                 "\"sets_identical\": true, \"costs_identical\": true}}"
             ),
             n,
@@ -1974,6 +2007,7 @@ fn activeset_engine_guard(quick: bool) {
             best_ref / rounds as f64,
             best_flat / rounds as f64,
             fc.work / rounds,
+            rng_draws,
             bench::baseline::fnv1a(format!("{:?}", flat_set).as_bytes()),
         ));
     }
@@ -1989,7 +2023,8 @@ fn activeset_engine_guard(quick: bool) {
                 "rounds",
                 "ref ms/round",
                 "flat ms/round",
-                "work/round"
+                "work/round",
+                "rng draws"
             ],
             &rows
         )

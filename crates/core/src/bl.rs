@@ -6,7 +6,10 @@
 //!
 //! 1. compute `d = dim(H)` and `Δ(H)` and set the marking probability
 //!    `p = 1/(2^{d+1} Δ(H))`;
-//! 2. mark every vertex independently with probability `p`;
+//! 2. mark every vertex independently with probability `p`, by walking the
+//!    alive vertices in ascending order and drawing the geometric gap to the
+//!    next marked one: one random word per marked vertex (plus one), the
+//!    law of a coin per vertex;
 //! 3. for every edge that is fully marked, unmark **all** of its vertices;
 //! 4. add the surviving marked vertices `I'` to the independent set, delete
 //!    them from the vertex set and from every edge;
@@ -27,6 +30,7 @@ use pram::Workspace;
 use rand::Rng;
 
 use crate::greedy::greedy_on_active_in;
+use crate::marking::for_each_hit;
 use crate::on_parked_engine;
 use crate::trace::{BlStageStats, BlTrace};
 
@@ -123,13 +127,14 @@ pub fn bl_on_active_in<E: ActiveEngine, R: Rng + ?Sized>(
 /// take/re-zero cost once per *solve* instead of once per round.
 ///
 /// Invariant: the flag vectors are all-`false` between BL runs — every stage
-/// unwinds its entries through that stage's alive list, so the loop leaves
+/// unwinds its entries through that stage's marked list, so the loop leaves
 /// them clean (debug-asserted on entry).
 pub(crate) struct BlScratch {
     marked: Vec<bool>,
     unmark: Vec<bool>,
     accepted_flags: Vec<bool>,
     alive: Vec<VertexId>,
+    marked_list: Vec<VertexId>,
     accepted: Vec<VertexId>,
 }
 
@@ -145,6 +150,7 @@ impl BlScratch {
             unmark: ws.take_flags_clean("mis.bl.unmark", id_space),
             accepted_flags: ws.take_flags_clean("mis.bl.accepted", id_space),
             alive: ws.take_u32("mis.bl.alive"),
+            marked_list: ws.take_u32("mis.bl.marked_list"),
             accepted: ws.take_u32("mis.bl.accepted_list"),
         }
     }
@@ -155,6 +161,7 @@ impl BlScratch {
         ws.put_flags("mis.bl.unmark", self.unmark);
         ws.put_flags("mis.bl.accepted", self.accepted_flags);
         ws.put_u32("mis.bl.alive", self.alive);
+        ws.put_u32("mis.bl.marked_list", self.marked_list);
         ws.put_u32("mis.bl.accepted_list", self.accepted);
     }
 }
@@ -174,13 +181,14 @@ pub(crate) fn bl_on_active_scratch<E: ActiveEngine, R: Rng + ?Sized>(
     let mut trace = BlTrace::default();
     let mut stage = 0usize;
     // Per-stage scratch, cleared by resetting the entries of the stage's
-    // alive vertices (every set entry belongs to an alive vertex), so the
+    // marked vertices (every set entry belongs to a marked vertex), so the
     // buffers come back all-false between runs.
     let BlScratch {
         marked,
         unmark,
         accepted_flags,
         alive,
+        marked_list,
         accepted,
     } = scratch;
     debug_assert!(
@@ -239,16 +247,17 @@ pub(crate) fn bl_on_active_scratch<E: ActiveEngine, R: Rng + ?Sized>(
         };
         let p = beame_luby_probability(delta, dim);
 
-        // Step 1: independent marking (ascending vertex order, which pins the
-        // RNG consumption order across engines).
+        // Step 1: independent marking. The RNG is read by one gap draw per
+        // marked vertex, walking the alive vertices in ascending order, which
+        // pins the consumption order across engines.
         active.alive_into(alive);
-        let mut n_marked = 0usize;
-        for &v in alive.iter() {
-            if rng.gen_bool(p) {
-                marked[v as usize] = true;
-                n_marked += 1;
-            }
-        }
+        marked_list.clear();
+        for_each_hit(rng, p, alive.len(), |i| {
+            let v = alive[i];
+            marked[v as usize] = true;
+            marked_list.push(v);
+        });
+        let n_marked = marked_list.len();
         cost.record(Cost::parallel_step(n_alive as u64));
 
         // Step 2: unmark every vertex of every fully marked edge.
@@ -261,16 +270,16 @@ pub(crate) fn bl_on_active_scratch<E: ActiveEngine, R: Rng + ?Sized>(
         }
         cost.record(Cost::parallel_step(active.total_live_size() as u64));
 
+        // Only marked vertices can be unmarked or accepted, so the pass walks
+        // the marked list (ascending, like the alive list it came from).
         let mut n_unmarked = 0usize;
         accepted.clear();
-        for &v in alive.iter() {
-            if marked[v as usize] {
-                if unmark[v as usize] {
-                    n_unmarked += 1;
-                } else {
-                    accepted_flags[v as usize] = true;
-                    accepted.push(v);
-                }
+        for &v in marked_list.iter() {
+            if unmark[v as usize] {
+                n_unmarked += 1;
+            } else {
+                accepted_flags[v as usize] = true;
+                accepted.push(v);
             }
         }
         cost.record(Cost::parallel_step(n_alive as u64));
@@ -305,8 +314,9 @@ pub(crate) fn bl_on_active_scratch<E: ActiveEngine, R: Rng + ?Sized>(
         });
         stage += 1;
 
-        // Reset the scratch for the next stage.
-        for &v in alive.iter() {
+        // Reset the scratch for the next stage: every set flag belongs to a
+        // marked vertex (a fully marked edge has only marked members).
+        for &v in marked_list.iter() {
             marked[v as usize] = false;
             unmark[v as usize] = false;
             accepted_flags[v as usize] = false;

@@ -61,6 +61,7 @@ pub mod coloring;
 pub mod greedy;
 pub mod kuw;
 pub mod linear;
+mod marking;
 pub mod permutation;
 pub mod sbl;
 pub mod trace;

@@ -8,9 +8,12 @@
 //! specialisation: the marking probability is derived from the maximum
 //! *vertex* degree (which, in a linear hypergraph, controls the number of
 //! edges any marked set can complete) instead of Kelsen's normalized degree,
-//! and the per-stage structure is otherwise identical to
-//! [`crate::bl`]. A linearity check is performed up front so callers cannot
-//! accidentally run the specialised probability on a non-linear instance.
+//! and the per-stage structure is otherwise identical to [`crate::bl`],
+//! including the marking by geometric gaps (one random word per marked
+//! vertex, plus one, read in ascending vertex order) and the unmark and
+//! accept passes over the marked vertices only. A linearity check is
+//! performed up front so callers cannot accidentally run the specialised
+//! probability on a non-linear instance.
 
 use hypergraph::{ActiveEngine, Hypergraph, HypergraphView, VertexId};
 use pram::cost::{Cost, CostTracker};
@@ -18,6 +21,7 @@ use pram::Workspace;
 use rand::Rng;
 
 use crate::greedy::{greedy_on_active_in, rank_of, take_alive_ranks};
+use crate::marking::for_each_hit;
 use crate::on_parked_engine;
 use crate::trace::{BlStageStats, BlTrace};
 
@@ -127,12 +131,13 @@ pub fn linear_on_active_in<E: ActiveEngine, R: Rng + ?Sized>(
     let max_stages = 100_000usize;
     let mut stage = 0usize;
     // Per-stage scratch, cleared by resetting the entries of the stage's
-    // alive vertices (every set entry belongs to an alive vertex), so the
+    // marked vertices (every set entry belongs to a marked vertex), so the
     // flags go back all-false and come out through trusted clean takes.
     let mut marked = ws.take_flags_clean("mis.linear.marked", id_space);
     let mut unmark = ws.take_flags_clean("mis.linear.unmark", id_space);
     let mut accepted_flags = ws.take_flags_clean("mis.linear.accepted", id_space);
     let mut alive = ws.take_u32("mis.linear.alive");
+    let mut marked_list: Vec<VertexId> = ws.take_u32("mis.linear.marked_list");
     let mut accepted: Vec<VertexId> = ws.take_u32("mis.linear.accepted_list");
 
     while active.n_alive() > 0 {
@@ -160,13 +165,13 @@ pub fn linear_on_active_in<E: ActiveEngine, R: Rng + ?Sized>(
             (0.5 / (vertex_degree * d).powf(1.0 / (d - 1.0))).clamp(f64::MIN_POSITIVE, 1.0)
         };
 
-        let mut n_marked = 0usize;
-        for &v in &alive {
-            if rng.gen_bool(p) {
-                marked[v as usize] = true;
-                n_marked += 1;
-            }
-        }
+        marked_list.clear();
+        for_each_hit(rng, p, alive.len(), |i| {
+            let v = alive[i];
+            marked[v as usize] = true;
+            marked_list.push(v);
+        });
+        let n_marked = marked_list.len();
         cost.record(Cost::parallel_step(n_alive as u64));
 
         for e in active.edge_slices() {
@@ -180,14 +185,12 @@ pub fn linear_on_active_in<E: ActiveEngine, R: Rng + ?Sized>(
 
         accepted.clear();
         let mut n_unmarked = 0usize;
-        for &v in &alive {
-            if marked[v as usize] {
-                if unmark[v as usize] {
-                    n_unmarked += 1;
-                } else {
-                    accepted_flags[v as usize] = true;
-                    accepted.push(v);
-                }
+        for &v in &marked_list {
+            if unmark[v as usize] {
+                n_unmarked += 1;
+            } else {
+                accepted_flags[v as usize] = true;
+                accepted.push(v);
             }
         }
         active.kill_vertices(&accepted);
@@ -216,8 +219,8 @@ pub fn linear_on_active_in<E: ActiveEngine, R: Rng + ?Sized>(
         stage += 1;
 
         // Reset the scratch for the next stage (every set entry belongs to
-        // this stage's alive list).
-        for &v in &alive {
+        // this stage's marked list).
+        for &v in &marked_list {
             marked[v as usize] = false;
             unmark[v as usize] = false;
             accepted_flags[v as usize] = false;
@@ -228,6 +231,7 @@ pub fn linear_on_active_in<E: ActiveEngine, R: Rng + ?Sized>(
     ws.put_flags("mis.linear.unmark", unmark);
     ws.put_flags("mis.linear.accepted", accepted_flags);
     ws.put_u32("mis.linear.alive", alive);
+    ws.put_u32("mis.linear.marked_list", marked_list);
     ws.put_u32("mis.linear.accepted_list", accepted);
     independent_set.sort_unstable();
     Ok((independent_set, trace))

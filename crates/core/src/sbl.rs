@@ -5,7 +5,10 @@
 //! handle, but a random vertex sample of density `p = n^{-α}` contains a huge
 //! edge *entirely* only with tiny probability. SBL therefore repeats:
 //!
-//! 1. sample each undecided vertex independently with probability `p`;
+//! 1. sample each undecided vertex independently with probability `p`, by
+//!    walking the alive vertices in ascending order and drawing the
+//!    geometric gap to the next sampled one: one random word per sampled
+//!    vertex (plus one), with the law of a coin per vertex;
 //! 2. let `H' = (V', E')` be the sampled vertices together with the edges that
 //!    are **fully** sampled; if some edge of `H'` exceeds the dimension cap
 //!    `d = log log n / (4 log log log n)` the round FAILs and is retried with
@@ -33,6 +36,7 @@ use crate::bl::{bl_on_active_in, bl_on_active_scratch, BlConfig, BlScratch};
 use crate::coloring::Coloring;
 use crate::greedy::greedy_on_active_in;
 use crate::kuw::kuw_on_active_in;
+use crate::marking::for_each_hit;
 use crate::on_parked_engine;
 use crate::trace::{SblRoundStats, SblTrace, TailAlgorithm};
 
@@ -53,7 +57,9 @@ pub struct SblConfig {
     /// `p = n^{-α}` (practically clamped, see
     /// [`SblParams::practical_default`]). An override is clamped to
     /// `[1e-9, 1]`; it must not be NaN, which no clamp repairs (the `MISP`
-    /// decoder rejects a NaN `p` as a malformed field).
+    /// decoder rejects a NaN `p` as a malformed field). A round's sample
+    /// costs one random word per sampled vertex, so it reads about `p` words
+    /// per alive vertex, and `p = 1` reads none.
     pub p: Option<f64>,
     /// Dimension cap override; defaults to the paper's
     /// `d = log log n / (4 log log log n)` (practically clamped).
@@ -190,6 +196,12 @@ pub fn sbl_mis_in<R: Rng + ?Sized>(
 /// [`Workspace`]** (a test pins the workspace-free signature), and the body
 /// below must keep allocating per call. If you think you are fixing a
 /// performance bug in this function, you are breaking the baseline.
+///
+/// Its coin source is the one exception: it draws each round's sample by
+/// skip sampling (one random word per sampled vertex), as
+/// [`sbl_on_active_in`] does, because the two bodies must consume the RNG
+/// identically to stay outcome-identical. Every allocation around the
+/// sampler stays.
 pub fn sbl_mis_rebuild<R: Rng + ?Sized>(
     h: &Hypergraph,
     rng: &mut R,
@@ -276,12 +288,11 @@ pub fn sbl_mis_rebuild<R: Rng + ?Sized>(
         let mut failures = 0usize;
         let (sampled, sub) = loop {
             let mut sampled = Vec::new();
-            for &v in &alive {
-                if rng.gen_bool(p) {
-                    marked[v as usize] = true;
-                    sampled.push(v);
-                }
-            }
+            for_each_hit(rng, p, alive.len(), |i| {
+                let v = alive[i];
+                marked[v as usize] = true;
+                sampled.push(v);
+            });
             cost.record(Cost::parallel_step(n_alive as u64));
             let sub = active.induced_by(&marked);
             for &v in &sampled {
@@ -409,8 +420,9 @@ pub fn sbl_mis_rebuild<R: Rng + ?Sized>(
 /// the parameters the run resolved; costs are recorded into `cost`. The
 /// sampled sub-engine is parked in `ws` between solves. The RNG
 /// consumption order depends only on the engine-observable state (alive
-/// vertices ascending, live edges in arrival order), so two correct engines
-/// produce identical outcomes for the same seed.
+/// vertices ascending, walked by one gap draw per sampled vertex; live
+/// edges in arrival order), so two correct engines produce identical
+/// outcomes for the same seed.
 pub fn sbl_on_active_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
     active: &mut E,
     rng: &mut R,
@@ -506,12 +518,11 @@ pub fn sbl_on_active_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
         let mut failures = 0usize;
         loop {
             sampled.clear();
-            for &v in &alive {
-                if rng.gen_bool(p) {
-                    marked[v as usize] = true;
-                    sampled.push(v);
-                }
-            }
+            for_each_hit(rng, p, alive.len(), |i| {
+                let v = alive[i];
+                marked[v as usize] = true;
+                sampled.push(v);
+            });
             cost.record(Cost::parallel_step(n_alive as u64));
             let sub: &E = match &mut sub_slot {
                 Some(sub) => {

@@ -1038,16 +1038,20 @@ impl ActiveHypergraph {
     /// edges in the identical order.
     ///
     /// `out` may hold arbitrary previous state (a consumed sub-instance from
-    /// an earlier round, an engine over a different id space). The cost is
-    /// `O(n_alive + m + min(T, Σ_v deg(v)) + k log k + T_sub · log T_sub)`
-    /// where `m` is the parent's edge count (the walk budget reads
-    /// [`total_live_size`](Self::total_live_size), a dense pass while most
-    /// edges are live), `T` is the parent's total live size, `Σ_v deg(v)`
-    /// counts one edge read per walked incidence entry (plus a member check
-    /// per kept edge), `k` is the number of kept edges and `T_sub` the
-    /// sub-instance's total size — crucially *not* `O(id_space)`: the
-    /// previous state is unwound through `out`'s alive list, and epoch
-    /// stamps survive reuse by construction.
+    /// an earlier round, an engine over a different id space). The walk's
+    /// budget is a quarter of the edge arena's length, read in `O(1)`: the
+    /// arena holds every edge the engine was built with, so it bounds the
+    /// live size from above. The cost is
+    /// `O(|vs| + min(A, Σ_v deg(v)) + k log k + T_sub · log T_sub)`, or
+    /// `O(|vs| + T + T_sub · log T_sub)` when the walk would pass its budget
+    /// and the live edges are scanned instead, where `A` is the arena's
+    /// length, `T` the parent's total live size, `Σ_v deg(v)` counts one
+    /// edge read per walked incidence entry (plus a member check per kept
+    /// edge), `k` is the number of kept edges and `T_sub` the sub-instance's
+    /// total size — crucially *not* `O(id_space)`: the previous state is
+    /// unwound through `out`'s alive list, and epoch stamps survive reuse by
+    /// construction. The walk and the scan keep the identical edges, so the
+    /// budget decides the cost only, never the result.
     ///
     /// Observationally `out` ends up identical to `self.induced_by(marked)`
     /// (the differential suites pin this); only the allocation behaviour and
@@ -1066,7 +1070,7 @@ impl ActiveHypergraph {
         let walked = !matches!(self.incidence, IncidenceIndex::None)
             && out.keep_incident_edges(
                 vs,
-                self.total_live_size() / 4,
+                self.edge_vertices.len() / 4,
                 |v| self.incidence.incident(v).expect("checked above"),
                 |e| self.edge_status[e as usize] == EDGE_LIVE,
                 |e| self.live_edge(e),
