@@ -1,14 +1,11 @@
-//! Substrate benchmark: the PRAM primitives (scan, compact, reduce) that the
-//! algorithms are built on, plus the degree-table construction that dominates
-//! each BL stage.
+//! Substrate benchmark: the degree-table construction that dominates each BL
+//! stage.
 //!
 //! Run with `cargo bench -p bench --bench primitives`.
 
-use bench::{rng_for, uniform_workload};
+use bench::uniform_workload;
 use criterion::{criterion_group, criterion_main, Criterion};
 use hypergraph::degree::DegreeTable;
-use pram::prelude::*;
-use rand::Rng;
 use std::time::Duration;
 
 fn primitives(c: &mut Criterion) {
@@ -17,17 +14,6 @@ fn primitives(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
-
-    let mut rng = rng_for(21);
-    let data: Vec<u64> = (0..200_000).map(|_| rng.gen_range(0..1000)).collect();
-
-    group.bench_function("exclusive_scan_200k", |b| {
-        b.iter(|| exclusive_scan(&data, None).1)
-    });
-    group.bench_function("compact_200k", |b| {
-        b.iter(|| par_compact_indices(&data, |&x| x % 3 == 0, None).len())
-    });
-    group.bench_function("sum_200k", |b| b.iter(|| par_sum_by(&data, |&x| x, None)));
 
     let h = uniform_workload(2048, 4, 22);
     group.bench_function("degree_table_n2048_d4", |b| {

@@ -1,9 +1,15 @@
-//! The bench-regression gate: parse the `BENCH_*.json` artifacts and compare
-//! a fresh run against a committed baseline.
+//! The bench artifacts as values: build them, write them, parse them, and
+//! compare a fresh run against a committed baseline.
 //!
-//! The `experiments` bin emits five JSON artifacts (`BENCH_activeset.json`,
-//! `BENCH_batch.json`, `BENCH_serve.json`, `BENCH_coldstart.json`,
-//! `BENCH_net.json`) into the working directory, where they stay untracked.
+//! The `experiments` bin builds five artifacts as [`Json`] trees (with
+//! [`obj!`](crate::obj)) and writes each with [`Json::render`]
+//! (`BENCH_activeset.json`, `BENCH_batch.json`, `BENCH_serve.json`,
+//! `BENCH_coldstart.json`, `BENCH_net.json`) into the working directory,
+//! where they stay untracked. The writer is deterministic: object members
+//! keep insertion order, the top-level object and the arrays directly under
+//! it put one item per line (so a baseline diff stays one workload per line),
+//! and a float is rounded once, when it is built ([`Json::fixed`]).
+//!
 //! The committed copies live in `bench/baselines/`; CI re-runs the guards
 //! and then invokes `experiments --check-against bench/baselines`, which
 //! routes through [`check_against`] per artifact. The gate fails the job on
@@ -17,21 +23,23 @@
 //! * **speedup erosion** — every `speedup*` field must stay above
 //!   baseline ÷ (1 + tolerance), a multiplicative floor that stays live at
 //!   any band width;
-//! * **schema drift** — a baseline key or array element missing from the
-//!   fresh artifact.
+//! * **schema drift, both ways** — a baseline key or array element missing
+//!   from the fresh artifact, and a fresh key missing from the baseline when
+//!   any leaf under it is gated (a new gated field must land with a
+//!   regenerated baseline, or it would go uncompared).
 //!
 //! Host-dependent fields (`host_parallelism`, throughputs, prose
 //! descriptions, the scaling-assertion note) are deliberately ignored, so a
 //! baseline recorded on one machine gates runs on another: the deterministic
 //! fields carry the regression teeth, the banded fields catch catastrophic
-//! slowdowns.
+//! slowdowns. A fresh ignored field may appear without a baseline.
 //!
-//! The build is offline and no vendored crate parses JSON, so this module
-//! carries a minimal recursive-descent parser — sufficient for the artifacts
-//! we emit and strict enough to reject malformed files loudly.
+//! The build is offline and no vendored crate handles JSON, so this module
+//! carries a minimal writer and recursive-descent parser — sufficient for
+//! the artifacts we emit and strict enough to reject malformed files loudly.
 
-/// A parsed JSON value (numbers are kept as `f64`; the artifacts only emit
-/// integers small enough to round-trip exactly).
+/// A JSON value, parsed or built (numbers are kept as `f64`; counts enter
+/// through `From<u64>`, which refuses any an `f64` cannot hold exactly).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -76,6 +84,152 @@ impl Json {
             _ => None,
         }
     }
+
+    /// `x` rounded to `places` decimals, the field's one precision
+    /// (`*_ms` 4, `*_ms_per_round` 5, speedups 3, throughputs 1).
+    pub fn fixed(x: f64, places: i32) -> Json {
+        let scale = 10f64.powi(places);
+        Json::Num((x * scale).round() / scale)
+    }
+
+    /// The value as a JSON document: the top-level container and the arrays
+    /// directly under it put one item per line, deeper values stay inline,
+    /// and a number is the `f64` `Display` of its value.
+    ///
+    /// # Panics
+    ///
+    /// On a non-finite number, which JSON cannot hold.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, level: usize) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(&b.to_string()),
+            Json::Num(x) => {
+                assert!(x.is_finite(), "a JSON number cannot be {x}");
+                out.push_str(&x.to_string());
+            }
+            Json::Str(s) => write_string(out, s),
+            Json::Arr(items) => {
+                write_items(out, ('[', ']'), level, items.iter().map(|v| (None, v)))
+            }
+            Json::Obj(members) => write_items(
+                out,
+                ('{', '}'),
+                level,
+                members.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
+        }
+    }
+}
+
+/// Writes a container's items between `open` and `close`, each behind its
+/// key if it has one. `level` is the container's depth (0 = the document).
+fn write_items<'a>(
+    out: &mut String,
+    (open, close): (char, char),
+    level: usize,
+    items: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
+) {
+    let broken = level == 0 || (level == 1 && open == '[');
+    let mut empty = true;
+    out.push(open);
+    for (key, value) in items {
+        if !empty {
+            out.push(',');
+        }
+        if broken {
+            out.push('\n');
+            out.push_str(&"  ".repeat(level + 1));
+        } else if !empty {
+            out.push(' ');
+        }
+        if let Some(key) = key {
+            write_string(out, key);
+            out.push_str(": ");
+        }
+        value.write(out, level + 1);
+        empty = false;
+    }
+    if broken && !empty {
+        out.push('\n');
+        out.push_str(&"  ".repeat(level));
+    }
+    out.push(close);
+}
+
+/// Writes `s` as a JSON string, escaping `"`, `\` and control characters
+/// (RFC 8259 §7).
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+/// A count. Panics above 2^53, where the parser's `f64` would round it.
+impl From<u64> for Json {
+    fn from(x: u64) -> Json {
+        assert!(x <= 1 << 53, "{x} is above 2^53, which an f64 cannot hold");
+        Json::Num(x as f64)
+    }
+}
+
+/// A count. Panics above 2^53, where the parser's `f64` would round it.
+impl From<usize> for Json {
+    fn from(x: usize) -> Json {
+        Json::from(x as u64)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+impl From<Vec<Json>> for Json {
+    fn from(items: Vec<Json>) -> Json {
+        Json::Arr(items)
+    }
+}
+
+/// A [`Json::Obj`] whose members keep the order written:
+/// `obj! { "n" => 4096usize, "ms" => Json::fixed(ms, 4) }`. Each value goes
+/// through `Json::from`.
+#[macro_export]
+macro_rules! obj {
+    ($($key:literal => $value:expr),* $(,)?) => {
+        $crate::baseline::Json::Obj(vec![
+            $(($key.to_string(), $crate::baseline::Json::from($value))),*
+        ])
+    };
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -191,6 +345,12 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
                 }
                 *pos += 1;
+            }
+            Some(&c) if c < 0x20 => {
+                return Err(format!(
+                    "unescaped control character at byte {pos}",
+                    pos = *pos
+                ))
             }
             Some(&c) => {
                 // Multi-byte UTF-8 is copied through verbatim.
@@ -324,7 +484,7 @@ pub fn check_against(fresh: &str, baseline: &str, tolerance: f64) -> Result<Chec
 
 fn walk(path: &str, key: &str, base: &Json, fresh: &Json, tol: f64, report: &mut CheckReport) {
     match (base, fresh) {
-        (Json::Obj(members), Json::Obj(_)) => {
+        (Json::Obj(members), Json::Obj(fresh_members)) => {
             for (k, bv) in members {
                 let child = format!("{path}.{k}");
                 match fresh.get(k) {
@@ -332,6 +492,13 @@ fn walk(path: &str, key: &str, base: &Json, fresh: &Json, tol: f64, report: &mut
                     None => report.failures.push(format!(
                         "{child}: present in baseline, missing from fresh run"
                     )),
+                }
+            }
+            for (k, fv) in fresh_members {
+                if base.get(k).is_none() && gated(k, fv) {
+                    report.failures.push(format!(
+                        "{path}.{k}: gated field in fresh run, missing from baseline"
+                    ));
                 }
             }
         }
@@ -350,6 +517,16 @@ fn walk(path: &str, key: &str, base: &Json, fresh: &Json, tol: f64, report: &mut
             }
         }
         _ => check_leaf(path, key, base, fresh, tol, report),
+    }
+}
+
+/// Whether any leaf under `value` (reached through member `key`; array
+/// elements inherit it) has a rule other than [`Rule::Ignore`].
+fn gated(key: &str, value: &Json) -> bool {
+    match value {
+        Json::Obj(members) => members.iter().any(|(k, v)| gated(k, v)),
+        Json::Arr(items) => items.iter().any(|v| gated(key, v)),
+        _ => rule_for(key) != Rule::Ignore,
     }
 }
 
@@ -414,6 +591,8 @@ fn check_leaf(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     const FRESH: &str = r#"{
       "experiment": "serve_sharded_runner",
@@ -445,6 +624,7 @@ mod tests {
         assert!(Json::parse("{\"a\": 1,}").is_err());
         assert!(Json::parse("{\"a\": 1} x").is_err());
         assert!(Json::parse("{\"a\": 1, \"a\": 2}").is_err());
+        assert!(Json::parse("\"a\nb\"").is_err());
     }
 
     #[test]
@@ -623,6 +803,161 @@ mod tests {
         // Host-dependent fields never gate.
         let other_host = FRESH.replace("\"host_parallelism\": 4", "\"host_parallelism\": 96");
         assert!(check_against(&other_host, FRESH, 0.5).unwrap().passed());
+    }
+
+    /// A fresh field the baseline lacks fails only if it is gated: a new
+    /// `Exact` field would otherwise go uncompared until someone regenerated
+    /// the baseline.
+    #[test]
+    fn a_fresh_gated_field_needs_a_baseline() {
+        let with = |extra: &str| {
+            FRESH.replace(
+                "\"outcomes_identical\": true,",
+                &format!("\"outcomes_identical\": true, {extra},"),
+            )
+        };
+        for extra in [
+            r#""rng_draws": 200962"#,
+            r#""layers": {"decode": {"p50_ms": 0.01}}"#,
+            r#""per_stage": [{"name": "solve", "p50_ms": 0.1}]"#,
+            r#""p99_ms": [0.5, 0.7]"#,
+        ] {
+            let report = check_against(&with(extra), FRESH, 0.5).unwrap();
+            assert!(
+                report
+                    .failures
+                    .iter()
+                    .any(|f| f.contains("missing from baseline")),
+                "{extra}: {:?}",
+                report.failures
+            );
+        }
+        for extra in [r#""host_parallelism": 4"#, r#""throughput_per_s": 6161.7"#] {
+            let report = check_against(&with(extra), FRESH, 0.5).unwrap();
+            assert!(report.passed(), "{extra}: {:?}", report.failures);
+        }
+    }
+
+    #[test]
+    fn the_writer_keeps_one_workload_per_line() {
+        let v = obj! {
+            "experiment" => "x",
+            "largest_workload" => obj! { "n" => 4usize, "speedup" => Json::fixed(1.23456, 3) },
+            "workloads" => vec![
+                obj! {
+                    "n" => 1u64 << 53,
+                    "ms" => Json::fixed(0.22899999, 4),
+                    "shards" => vec![obj! { "shards" => 1usize, "ok" => true }],
+                },
+                obj! {},
+            ],
+            "empty" => Vec::new(),
+        };
+        assert_eq!(
+            v.render(),
+            r#"{
+  "experiment": "x",
+  "largest_workload": {"n": 4, "speedup": 1.235},
+  "workloads": [
+    {"n": 9007199254740992, "ms": 0.229, "shards": [{"shards": 1, "ok": true}]},
+    {}
+  ],
+  "empty": []
+}
+"#
+        );
+        assert_eq!(Json::parse(&v.render()), Ok(v));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot be NaN")]
+    fn a_non_finite_number_panics() {
+        Json::fixed(f64::NAN, 3).render();
+    }
+
+    #[test]
+    #[should_panic(expected = "above 2^53")]
+    fn a_count_above_2_pow_53_panics() {
+        let _ = Json::from((1u64 << 53) + 1);
+    }
+
+    /// Artifact-shaped trees: nested objects and arrays, strings with quotes,
+    /// backslashes, control characters and non-ASCII text, counts up to
+    /// 2^53 and `fixed` floats. Keys come from a pool holding gated names;
+    /// the banded ones (`*_ms`, `speedup*`) only ever hold numbers, as in
+    /// the artifacts, and no determinism flag is drawn (it must be `true`).
+    struct Trees;
+
+    impl Strategy for Trees {
+        type Value = Json;
+
+        fn generate(&self, rng: &mut TestRng) -> Json {
+            object(rng, 1)
+        }
+    }
+
+    const FREE_KEYS: [&str; 8] = [
+        "n",
+        "work",
+        "kind",
+        "outcome_fingerprint",
+        "note",
+        "quote\"d \\ key",
+        "ключ\t1",
+        "\u{1}🦀",
+    ];
+    const BANDED_KEYS: [&str; 4] = ["p50_ms", "ms", "speedup", "flat_ms_per_round"];
+
+    fn object(rng: &mut TestRng, depth: usize) -> Json {
+        let mut members: Vec<(String, Json)> = Vec::new();
+        for _ in 0..rng.below(5) {
+            let (key, value) = if rng.below(3) == 0 {
+                let key = BANDED_KEYS[rng.below(4) as usize];
+                (key, fixed(rng))
+            } else {
+                (FREE_KEYS[rng.below(8) as usize], tree(rng, depth + 1))
+            };
+            if members.iter().all(|(k, _)| k != key) {
+                members.push((key.to_string(), value));
+            }
+        }
+        Json::Obj(members)
+    }
+
+    fn tree(rng: &mut TestRng, depth: usize) -> Json {
+        match rng.below(if depth < 4 { 7 } else { 5 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.below(2) == 1),
+            2 => Json::from(rng.below((1 << 53) + 1)),
+            3 => fixed(rng),
+            4 => {
+                const CHARS: [char; 14] = [
+                    'a', 'Z', ' ', '/', '"', '\\', '\n', '\t', '\r', '\0', '\u{1f}', 'é', '中',
+                    '🦀',
+                ];
+                let len = rng.below(8);
+                Json::Str((0..len).map(|_| CHARS[rng.below(14) as usize]).collect())
+            }
+            5 => Json::Arr((0..rng.below(4)).map(|_| tree(rng, depth + 1)).collect()),
+            _ => object(rng, depth),
+        }
+    }
+
+    fn fixed(rng: &mut TestRng) -> Json {
+        let x = rng.next_u64() as i64 as f64 / 1e12;
+        Json::fixed(x, rng.below(6) as i32)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn rendered_trees_parse_back_and_pass_their_own_gate(v in Trees) {
+            let text = v.render();
+            prop_assert_eq!(Json::parse(&text), Ok(v.clone()));
+            let report = check_against(&text, &text, 0.0).unwrap();
+            prop_assert!(report.passed(), "{:?}", report.failures);
+        }
     }
 
     #[test]

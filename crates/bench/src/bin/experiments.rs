@@ -1,6 +1,5 @@
-//! The experiment harness: regenerates every experiment listed in DESIGN.md §4
-//! and EXPERIMENTS.md, printing markdown tables that can be pasted into
-//! EXPERIMENTS.md verbatim.
+//! The experiment harness: runs the paper's experiments (E1–E10) and the
+//! five regression guards, printing markdown tables.
 //!
 //! Usage:
 //!
@@ -19,7 +18,10 @@
 //!
 //! An unknown flag or tag is an error, never a silent no-op.
 
-use bench::{linear_workload, markdown_table, paper_workload, rng_for, uniform_workload};
+use bench::baseline::Json;
+use bench::{
+    linear_workload, markdown_table, obj, paper_workload, random_query, rng_for, uniform_workload,
+};
 use concentration::chernoff;
 use concentration::kimvu;
 use concentration::potential::{Potential, Recurrence};
@@ -27,10 +29,10 @@ use hypergraph::degree::DegreeTable;
 use hypergraph::params::SblParams;
 use hypergraph::{ActiveHypergraph, HypergraphStats};
 use hypergraph_mis::batch::BatchRunner;
+use hypergraph_mis::serve::{SolveFingerprint, SolveOutcome};
 use mis_core::prelude::*;
 use pram::cost::CostTracker;
 use pram::pool::with_threads;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 fn main() {
@@ -110,23 +112,23 @@ fn main() {
     }
     #[cfg(feature = "reference-engine")]
     if want("activeset") {
-        activeset_engine_guard(quick);
+        write_artifact("activeset", &activeset_engine_guard(quick));
     }
     #[cfg(not(feature = "reference-engine"))]
     if want("activeset") {
         println!("activeset: skipped (requires the `reference-engine` feature)");
     }
     if want("batch") {
-        batch_runner_experiment(quick);
+        write_artifact("batch", &batch_runner_experiment(quick));
     }
     if want("serve") {
-        serve_experiment(quick);
+        write_artifact("serve", &serve_experiment(quick));
     }
     if want("coldstart") {
-        coldstart_experiment(quick);
+        write_artifact("coldstart", &coldstart_experiment(quick));
     }
     if want("net") {
-        net_experiment(quick);
+        write_artifact("net", &net_experiment(quick));
     }
 }
 
@@ -141,6 +143,70 @@ fn unknown_tag(selected: &[String]) -> Option<&String> {
         .find(|s| !TAGS.split(' ').any(|t| t.eq_ignore_ascii_case(s)))
 }
 
+/// The guards whose artifacts the bench-regression gate compares, in run
+/// order; guard `tag` writes `BENCH_<tag>.json`.
+const GATED: [&str; 5] = ["activeset", "batch", "serve", "coldstart", "net"];
+
+fn artifact_file(tag: &str) -> String {
+    format!("BENCH_{tag}.json")
+}
+
+/// Writes a guard's artifact into the working directory, where the gate
+/// reads it back.
+fn write_artifact(tag: &str, artifact: &Json) {
+    assert!(GATED.contains(&tag), "{tag} is not a gated artifact");
+    let file = artifact_file(tag);
+    std::fs::write(&file, artifact.render()).unwrap_or_else(|e| panic!("write {file}: {e}"));
+    println!("wrote {file}\n");
+}
+
+/// Prints a markdown table with one row per entry and one column per key
+/// (`keys` is space-separated), each cell the entry's value as its artifact
+/// holds it (blank where absent).
+fn print_table(entries: &[Json], keys: &str) {
+    let keys: Vec<&str> = keys.split(' ').collect();
+    let rows: Vec<Vec<String>> = entries
+        .iter()
+        .map(|entry| {
+            keys.iter()
+                .map(|key| match entry.get(key) {
+                    Some(Json::Str(s)) => s.clone(),
+                    Some(Json::Num(x)) => x.to_string(),
+                    Some(Json::Bool(b)) => b.to_string(),
+                    _ => String::new(),
+                })
+                .collect()
+        })
+        .collect();
+    println!("{}", markdown_table(&keys, &rows));
+}
+
+/// A wall time in milliseconds, as every `*_ms` field holds it.
+fn ms(x: f64) -> Json {
+    Json::fixed(x, 4)
+}
+
+/// A speedup ratio, as every `speedup*` field holds it.
+fn speedup(x: f64) -> Json {
+    Json::fixed(x, 3)
+}
+
+/// A throughput per second.
+fn per_s(x: f64) -> Json {
+    Json::fixed(x, 1)
+}
+
+/// The serve configuration every guard runs: `shards` shards, each with a
+/// 64-deep queue and one thread.
+fn serve_config(shards: usize) -> hypergraph_mis::serve::ServeConfig {
+    hypergraph_mis::serve::ServeConfig {
+        shards,
+        queue_depth: 64,
+        threads_per_shard: Some(1),
+        ..Default::default()
+    }
+}
+
 /// The CI bench-regression gate (`--check-against <dir>`): compares each
 /// freshly emitted `BENCH_*.json` in the working directory against the
 /// committed copy in `<dir>`, with a tolerance band on wall times and
@@ -153,11 +219,11 @@ fn run_bench_regression_gate(dir: &str, tolerance: f64, want: &impl Fn(&str) -> 
     println!("## bench-regression gate: fresh BENCH_*.json vs {dir} (tolerance {tolerance})\n");
     let mut compared = 0usize;
     let mut failures: Vec<String> = Vec::new();
-    for tag in ["activeset", "batch", "serve", "coldstart", "net"] {
+    for tag in GATED {
         if !want(tag) {
             continue;
         }
-        let file = format!("BENCH_{tag}.json");
+        let file = artifact_file(tag);
         let baseline_path = std::path::Path::new(dir).join(&file);
         let fresh = std::fs::read_to_string(&file).unwrap_or_else(|e| {
             panic!("missing fresh artifact {file} (run the guards first): {e}")
@@ -197,23 +263,22 @@ fn run_bench_regression_gate(dir: &str, tolerance: f64, want: &impl Fn(&str) -> 
 /// Per-request outcomes must be **byte-identical** across every shard count
 /// and the sequential path — asserted here on fingerprints (seed, set, cost
 /// totals, trace). Wall times and aggregate throughputs go to
-/// `BENCH_serve.json` (consumed by CI as an artifact; the scaling target is
-/// ≥ 2× aggregate throughput at 8 shards on the largest query workload,
-/// which needs ≥ a few real cores — the JSON records `host_parallelism` so a
-/// single-core host's ≈1× is interpretable, matching the E8 caveat).
-fn serve_experiment(quick: bool) {
+/// `BENCH_serve.json`. On a host with `host_parallelism ≥ 4` the guard
+/// asserts ≥ 1.5× aggregate throughput at 8 shards vs 1 shard on the largest
+/// query workload; smaller hosts record the ratio (the E8 caveat; the
+/// artifact's `scaling_assertion` says which branch ran), and there only the
+/// gate's speedup floors apply.
+fn serve_experiment(quick: bool) -> Json {
     use hypergraph_mis::serve::{
         AdmissionConfig, Algorithm, EpochPin, ResidentRegistry, RetentionPolicy, RoutePolicy,
-        ServeConfig, ShardedRunner, SolveError, SolveFingerprint, SolveRequest, TenantId,
-        TenantQuota,
+        ServeConfig, ShardedRunner, SolveError, SolveRequest, TenantId, TenantQuota,
     };
     use std::sync::Arc;
 
     println!("\n## serve — sharded worker-pool serving vs the sequential BatchRunner path\n");
     let instances = 100usize;
-    let iters = if quick { 3 } else { 5 };
+    let iters = if quick { 3usize } else { 5 };
     let shard_counts = [1usize, 2, 4, 8];
-    let mut rows = Vec::new();
     let mut entries = Vec::new();
     let mut largest: Option<(usize, f64)> = None;
 
@@ -223,17 +288,9 @@ fn serve_experiment(quick: bool) {
     for n in [16384usize, 65536, 262144] {
         let mut registry = ResidentRegistry::new();
         let resident = registry.register(uniform_workload(n, 3, 0xBA7C));
-        let qsize = 512;
         let requests: Vec<SolveRequest> = (0..instances)
             .map(|i| {
-                let mut rng = rng_for(0xBA7C_1000 + (n + i) as u64);
-                let mut q: Vec<u32> = (0..n as u32).collect();
-                for k in 0..qsize {
-                    let j = rand::Rng::gen_range(&mut rng, k..n);
-                    q.swap(k, j);
-                }
-                q.truncate(qsize);
-                q.sort_unstable();
+                let q = random_query(0xBA7C_1000 + (n + i) as u64, n, 512);
                 SolveRequest::induced(resident, q)
                     .algorithm(Algorithm::Bl(BlConfig::default()))
                     .seed(0xBA7C_2000 + (n * 131 + i) as u64)
@@ -274,15 +331,11 @@ fn serve_experiment(quick: bool) {
             }
         }
 
-        let mut shard_summaries = Vec::new();
-        let mut ms_by_shards: Vec<(usize, f64)> = Vec::new();
+        let mut outcomes_identical = true;
+        let mut shard_entries = Vec::new();
+        let mut shard_ms = Vec::new();
         for &shards in &shard_counts {
-            let config = ServeConfig {
-                shards,
-                queue_depth: 64,
-                threads_per_shard: Some(1),
-                ..ServeConfig::default()
-            };
+            let config = serve_config(shards);
             let mut best = f64::INFINITY;
             for it in 0..iters {
                 let mut runner = ShardedRunner::new(Arc::clone(registry), &config);
@@ -290,64 +343,47 @@ fn serve_experiment(quick: bool) {
                 let outs = runner.run_stream(requests.clone());
                 best = best.min(t0.elapsed().as_secs_f64() * 1e3);
                 if it == 0 {
-                    assert_eq!(outs.len(), reference.len());
-                    for (i, out) in outs.iter().enumerate() {
-                        assert!(
-                            out.fingerprint() == reference[i],
-                            "serve {kind}: shards={shards} diverged from the sequential \
-                             BatchRunner path (n={n}, request {i})"
-                        );
-                    }
+                    let identical = fingerprints(&outs) == reference;
+                    assert!(
+                        identical,
+                        "serve {kind}: shards={shards} diverged from the sequential \
+                         BatchRunner path (n={n})"
+                    );
+                    outcomes_identical &= identical;
                 }
             }
-            ms_by_shards.push((shards, best));
-            let speedup = best_seq / best;
-            let throughput = instances as f64 / (best / 1e3);
-            shard_summaries.push(format!(
-                "{{\"shards\": {shards}, \"ms\": {best:.4}, \"speedup_vs_sequential\": \
-                 {speedup:.3}, \"throughput_per_s\": {throughput:.1}}}"
-            ));
-            rows.push(vec![
-                kind.to_string(),
-                n.to_string(),
-                shards.to_string(),
-                format!("{best_seq:.2}"),
-                format!("{best:.2}"),
-                format!("{speedup:.2}x"),
-                format!("{throughput:.0}"),
-            ]);
+            shard_ms.push(best);
+            shard_entries.push(obj! {
+                "shards" => shards,
+                "ms" => ms(best),
+                "speedup_vs_sequential" => speedup(best_seq / best),
+                "throughput_per_s" => per_s(instances as f64 / (best / 1e3)),
+            });
         }
+        println!("### {kind} n={n}\n");
+        print_table(
+            &shard_entries,
+            "shards ms speedup_vs_sequential throughput_per_s",
+        );
         // Aggregate-throughput scaling of the shard sweep itself: 8 shards
         // vs 1 shard (both through the serve layer, so queueing overhead is
         // on both sides of the ratio).
-        let ms1 = ms_by_shards
-            .iter()
-            .find(|&&(s, _)| s == 1)
-            .expect("1-shard run")
-            .1;
-        let ms8 = ms_by_shards
-            .iter()
-            .find(|&&(s, _)| s == 8)
-            .expect("8-shard run")
-            .1;
+        let speedup_8v1 = shard_ms[0] / shard_ms[3]; // shard_counts is [1, 2, 4, 8]
         if *kind == "query" {
-            largest = Some((*n, ms1 / ms8));
+            largest = Some((*n, speedup_8v1));
         }
-        entries.push(format!(
-            concat!(
-                "    {{\"kind\": \"{}\", \"n\": {}, \"instances\": {}, ",
-                "\"sequential_ms\": {:.4}, \"outcomes_identical\": true, ",
-                "\"outcome_fingerprint\": \"{}\", \"speedup_8v1\": {:.3}, \"shards\": [{}]}}"
-            ),
-            kind,
-            n,
-            instances,
-            best_seq,
-            fingerprint_hex(&reference),
-            ms1 / ms8,
-            shard_summaries.join(", "),
-        ));
+        entries.push(obj! {
+            "kind" => *kind,
+            "n" => *n,
+            "instances" => instances,
+            "sequential_ms" => ms(best_seq),
+            "outcomes_identical" => outcomes_identical,
+            "outcome_fingerprint" => fingerprint_hex(&reference),
+            "speedup_8v1" => speedup(speedup_8v1),
+            "shards" => shard_entries,
+        });
     }
+    print_table(&entries, "kind n sequential_ms speedup_8v1");
 
     // --- Tenant mix: an interleaved tenant-tagged query stream at 4 shards
     // under each routing policy. Outcomes must be byte-identical across
@@ -365,15 +401,7 @@ fn serve_experiment(quick: bool) {
         let resident = registry.register(uniform_workload(mix_n, 3, 0x7E4A));
         let requests: Vec<SolveRequest> = (0..mix_total)
             .map(|i| {
-                let mut rng = rng_for(0x7E4A_1000 + i as u64);
-                let qsize = 512;
-                let mut q: Vec<u32> = (0..mix_n as u32).collect();
-                for k in 0..qsize {
-                    let j = rand::Rng::gen_range(&mut rng, k..mix_n);
-                    q.swap(k, j);
-                }
-                q.truncate(qsize);
-                q.sort_unstable();
+                let q = random_query(0x7E4A_1000 + i as u64, mix_n, 512);
                 SolveRequest::induced(resident, q)
                     .algorithm(Algorithm::Bl(BlConfig::default()))
                     .seed(0x7E4A_2000 + i as u64)
@@ -389,19 +417,16 @@ fn serve_experiment(quick: bool) {
         .map(|r| seq_runner.solve(&mix_registry, r).fingerprint())
         .collect();
     let per_tenant_delivered = mix_total as u64 / mix_tenants;
-    let mut policy_rows = Vec::new();
-    let mut policy_summaries = Vec::new();
+    let mut mix_identical = true;
+    let mut policy_entries = Vec::new();
     for policy in [
         RoutePolicy::RoundRobin,
         RoutePolicy::TenantAffinity,
         RoutePolicy::LeastQueued,
     ] {
         let config = ServeConfig {
-            shards: 4,
-            queue_depth: 64,
-            threads_per_shard: Some(1),
             route: policy,
-            ..ServeConfig::default()
+            ..serve_config(4)
         };
         let mut best = f64::INFINITY;
         let mut rewarms: Vec<(u64, u64, u64)> = Vec::new();
@@ -422,13 +447,13 @@ fn serve_experiment(quick: bool) {
             };
             best = best.min(t0.elapsed().as_secs_f64() * 1e3);
             if it == 0 {
-                for (i, out) in outs.iter().enumerate() {
-                    assert!(
-                        out.fingerprint() == mix_reference[i],
-                        "serve tenant_mix: {} diverged from the sequential path (request {i})",
-                        policy.name()
-                    );
-                }
+                let identical = fingerprints(&outs) == mix_reference;
+                assert!(
+                    identical,
+                    "serve tenant_mix: {} diverged from the sequential path",
+                    policy.name()
+                );
+                mix_identical &= identical;
             }
             // One generation's rewarm split (deterministic for RR and TA): a
             // tenant warms each shard it is routed to once.
@@ -442,63 +467,43 @@ fn serve_experiment(quick: bool) {
                 })
                 .collect();
         }
-        let (hits, misses) = rewarms
-            .iter()
-            .fold((0u64, 0u64), |(h, m), e| (h + e.1, m + e.2));
-        policy_rows.push(vec![
-            policy.name().to_string(),
-            format!("{best:.2}"),
-            format!("{:.0}", mix_total as f64 / (best / 1e3)),
-            hits.to_string(),
-            misses.to_string(),
-        ]);
         // LeastQueued placement is scheduling-dependent, so its rewarm split
         // is telemetry we deliberately keep out of the committed artifact.
-        let rewarm_fields = if policy == RoutePolicy::LeastQueued {
-            String::new()
+        policy_entries.push(if policy == RoutePolicy::LeastQueued {
+            obj! { "policy" => policy.name(), "ms" => ms(best) }
         } else {
-            let per_tenant = rewarms
+            let per_tenant: Vec<Json> = rewarms
                 .iter()
-                .map(|&(tenant, h, m)| {
-                    format!(
-                        "{{\"tenant\": {tenant}, \"delivered\": {per_tenant_delivered}, \
-                         \"throughput_per_s\": {:.1}, \"rewarm_hits\": {h}, \
-                         \"rewarm_misses\": {m}}}",
-                        per_tenant_delivered as f64 / (best / 1e3)
-                    )
+                .map(|&(tenant, hits, misses)| {
+                    obj! {
+                        "tenant" => tenant,
+                        "delivered" => per_tenant_delivered,
+                        "throughput_per_s" => per_s(per_tenant_delivered as f64 / (best / 1e3)),
+                        "rewarm_hits" => hits,
+                        "rewarm_misses" => misses,
+                    }
                 })
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(
-                ", \"rewarm_hits\": {hits}, \"rewarm_misses\": {misses}, \
-                 \"per_tenant\": [{per_tenant}]"
-            )
-        };
-        policy_summaries.push(format!(
-            "{{\"policy\": \"{}\", \"ms\": {best:.4}{rewarm_fields}}}",
-            policy.name()
-        ));
+                .collect();
+            obj! {
+                "policy" => policy.name(),
+                "ms" => ms(best),
+                "rewarm_hits" => rewarms.iter().map(|e| e.1).sum::<u64>(),
+                "rewarm_misses" => rewarms.iter().map(|e| e.2).sum::<u64>(),
+                "per_tenant" => per_tenant,
+            }
+        });
     }
-    entries.push(format!(
-        concat!(
-            "    {{\"kind\": \"tenant_mix\", \"n\": {}, \"tenants\": {}, \"instances\": {}, ",
-            "\"outcomes_identical\": true, \"outcome_fingerprint\": \"{}\", ",
-            "\"policies\": [{}]}}"
-        ),
-        mix_n,
-        mix_tenants,
-        mix_total,
-        fingerprint_hex(&mix_reference),
-        policy_summaries.join(", "),
-    ));
     println!("### tenant mix — {mix_tenants} tenants, 4 shards, routing policies\n");
-    println!(
-        "{}",
-        markdown_table(
-            &["policy", "ms", "req/s", "rewarm hits", "rewarm misses"],
-            &policy_rows
-        )
-    );
+    print_table(&policy_entries, "policy ms rewarm_hits rewarm_misses");
+    entries.push(obj! {
+        "kind" => "tenant_mix",
+        "n" => mix_n,
+        "tenants" => mix_tenants,
+        "instances" => mix_total,
+        "outcomes_identical" => mix_identical,
+        "outcome_fingerprint" => fingerprint_hex(&mix_reference),
+        "policies" => policy_entries,
+    });
 
     // --- Admission: rejection-as-data under deterministic per-tenant
     // quotas; the decisions must replay identically. ---
@@ -508,15 +513,7 @@ fn serve_experiment(quick: bool) {
         let resident = registry.register(uniform_workload(4096, 3, 0xADA1));
         let requests: Vec<SolveRequest> = (0..adm_total)
             .map(|i| {
-                let mut rng = rng_for(0xADA1_1000 + i as u64);
-                let qsize = 128;
-                let mut q: Vec<u32> = (0..4096u32).collect();
-                for k in 0..qsize {
-                    let j = rand::Rng::gen_range(&mut rng, k..4096);
-                    q.swap(k, j);
-                }
-                q.truncate(qsize);
-                q.sort_unstable();
+                let q = random_query(0xADA1_1000 + i as u64, 4096, 128);
                 SolveRequest::induced(resident, q)
                     .algorithm(Algorithm::Greedy)
                     .seed(0xADA1_2000 + i as u64)
@@ -527,9 +524,6 @@ fn serve_experiment(quick: bool) {
         (Arc::new(registry), requests)
     };
     let adm_config = ServeConfig {
-        shards: 4,
-        queue_depth: 64,
-        threads_per_shard: Some(1),
         route: RoutePolicy::RoundRobin,
         admission: AdmissionConfig {
             default_quota: None,
@@ -555,6 +549,7 @@ fn serve_experiment(quick: bool) {
                 ),
             ],
         },
+        ..serve_config(4)
     };
     let mut adm_replays = Vec::new();
     for _ in 0..2 {
@@ -567,48 +562,42 @@ fn serve_experiment(quick: bool) {
                 Some(e) => panic!("serve admission: unexpected failure {e:?}"),
             }
         }
-        let fps: Vec<SolveFingerprint> = outs.iter().map(|o| o.fingerprint()).collect();
-        adm_replays.push((fps, runner.stats()));
+        adm_replays.push((fingerprints(&outs), runner.stats()));
     }
+    let deterministic_replay = adm_replays[0].0 == adm_replays[1].0;
     assert!(
-        adm_replays[0].0 == adm_replays[1].0,
+        deterministic_replay,
         "serve admission: decisions did not replay deterministically"
     );
     let adm_stats = &adm_replays[0].1;
-    let adm_per_tenant = adm_stats
+    let adm_per_tenant: Vec<Json> = adm_stats
         .per_tenant
         .iter()
         .map(|t| {
-            format!(
-                "{{\"tenant\": {}, \"submitted\": {}, \"admitted\": {}, \
-                 \"denied_quota\": {}, \"denied_in_flight\": {}, \"delivered\": {}}}",
-                t.tenant.0,
-                t.submitted,
-                t.admitted,
-                t.denied_quota,
-                t.denied_in_flight,
-                t.delivered
-            )
+            obj! {
+                "tenant" => t.tenant.0,
+                "submitted" => t.submitted,
+                "admitted" => t.admitted,
+                "denied_quota" => t.denied_quota,
+                "denied_in_flight" => t.denied_in_flight,
+                "delivered" => t.delivered,
+            }
         })
-        .collect::<Vec<_>>()
-        .join(", ");
-    entries.push(format!(
-        concat!(
-            "    {{\"kind\": \"admission\", \"requests\": {}, \"deterministic_replay\": true, ",
-            "\"outcome_fingerprint\": \"{}\", \"admitted\": {}, \"denied\": {}, ",
-            "\"per_tenant\": [{}]}}"
-        ),
-        adm_total,
-        fingerprint_hex(&adm_replays[0].0),
-        adm_stats.admitted,
-        adm_stats.denied,
-        adm_per_tenant,
-    ));
-    println!(
-        "### admission — {adm_total} requests, 3 tenants: {} admitted, {} denied \
-         (replay-deterministic)\n",
-        adm_stats.admitted, adm_stats.denied
+        .collect();
+    println!("### admission — {adm_total} requests, 3 tenants (replay-deterministic)\n");
+    print_table(
+        &adm_per_tenant,
+        "tenant submitted admitted denied_quota denied_in_flight delivered",
     );
+    entries.push(obj! {
+        "kind" => "admission",
+        "requests" => adm_total,
+        "deterministic_replay" => deterministic_replay,
+        "outcome_fingerprint" => fingerprint_hex(&adm_replays[0].0),
+        "admitted" => adm_stats.admitted,
+        "denied" => adm_stats.denied,
+        "per_tenant" => adm_per_tenant,
+    });
 
     // --- Mutation: the epoch-versioned registry's copy-on-write path vs the
     // pre-PR-6 alternative (tear everything down and re-register per graph
@@ -657,16 +646,11 @@ fn serve_experiment(quick: bool) {
         .map(|w| {
             (0..mut_queries)
                 .map(|i| {
-                    let mut rng = rng_for(0x0ED1_1000 + (w * 1000 + i) as u64);
-                    let qsize = 256;
-                    let mut q: Vec<u32> = (0..mut_n as u32).collect();
-                    for k in 0..qsize {
-                        let j = rand::Rng::gen_range(&mut rng, k..mut_n);
-                        q.swap(k, j);
-                    }
-                    q.truncate(qsize);
-                    q.sort_unstable();
-                    (0x0ED1_2000 + (w * 1000 + i) as u64, q)
+                    let tag = (w * 1000 + i) as u64;
+                    (
+                        0x0ED1_2000 + tag,
+                        random_query(0x0ED1_1000 + tag, mut_n, 256),
+                    )
                 })
                 .collect()
         })
@@ -676,10 +660,10 @@ fn serve_experiment(quick: bool) {
             .algorithm(Algorithm::Bl(BlConfig::default()))
             .seed(seed)
             .tenant(TenantId(seed % 3))
-            .build()
     };
 
     // Mutate arm: one registry, one runner, `apply` between waves.
+    let mut replay_identical = true;
     let mut mutate_ms = f64::INFINITY;
     let mut mut_reference: Vec<SolveFingerprint> = Vec::new();
     for (it, &(shards, streaming)) in [(4usize, false), (1, false), (4, true)]
@@ -692,16 +676,10 @@ fn serve_experiment(quick: bool) {
         let mut registry = ResidentRegistry::new();
         let resident = registry.register(mut_base.clone());
         let registry = Arc::new(registry);
-        let config = ServeConfig {
-            shards,
-            queue_depth: 64,
-            threads_per_shard: Some(1),
-            ..ServeConfig::default()
-        };
-        let mut runner = ShardedRunner::new(Arc::clone(&registry), &config);
+        let mut runner = ShardedRunner::new(Arc::clone(&registry), &serve_config(shards));
         for (w, wave) in mut_requests.iter().enumerate() {
             for (seed, q) in wave {
-                runner.submit(mut_request(resident, *seed, q));
+                runner.submit(mut_request(resident, *seed, q).build());
             }
             // Mutate while this wave is still in flight: its requests were
             // pinned at submit, so the bump can never retarget them.
@@ -719,7 +697,7 @@ fn serve_experiment(quick: bool) {
             runner.collect_ordered(total)
         };
         mutate_ms = mutate_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        let fps: Vec<SolveFingerprint> = outs.iter().map(|o| o.fingerprint()).collect();
+        let fps = fingerprints(&outs);
         for (w, wave_fps) in fps.chunks(mut_queries).enumerate() {
             for fp in wave_fps {
                 assert_eq!(fp.1, Some(Epoch(w as u64)), "wave {w} mispinned");
@@ -728,11 +706,13 @@ fn serve_experiment(quick: bool) {
         if it == 0 {
             mut_reference = fps;
         } else {
+            let identical = fps == mut_reference;
             assert!(
-                fps == mut_reference,
+                identical,
                 "serve mutation: shards={shards} streaming={streaming} diverged from the \
                  first mutate-arm run"
             );
+            replay_identical &= identical;
         }
     }
     // Sequential reference: the same submit/apply sequence through a
@@ -747,20 +727,19 @@ fn serve_experiment(quick: bool) {
         let mut fps: Vec<SolveFingerprint> = Vec::new();
         for (w, wave) in mut_requests.iter().enumerate() {
             for (seed, q) in wave {
-                fps.push(
-                    runner
-                        .solve(&registry, &mut_request(resident, *seed, q))
-                        .fingerprint(),
-                );
+                let request = mut_request(resident, *seed, q).build();
+                fps.push(runner.solve(&registry, &request).fingerprint());
             }
             if let Some(batch) = mut_batches.get(w) {
                 registry.apply(resident, batch).expect("valid edit batch");
             }
         }
+        let identical = fps == mut_reference;
         assert!(
-            fps == mut_reference,
+            identical,
             "serve mutation: sequential BatchRunner path diverged from the mutate arm"
         );
+        replay_identical &= identical;
     }
 
     // Rebuild arm: per epoch, replay the log prefix from scratch into a
@@ -775,23 +754,11 @@ fn serve_experiment(quick: bool) {
             let graph = apply_edits(&mut_base, &log).expect("valid edit log prefix");
             let mut registry = ResidentRegistry::new();
             let resident = registry.register(graph);
-            let registry = Arc::new(registry);
-            let config = ServeConfig {
-                shards: 4,
-                queue_depth: 64,
-                threads_per_shard: Some(1),
-                ..ServeConfig::default()
-            };
-            let mut runner = ShardedRunner::new(Arc::clone(&registry), &config);
+            let mut runner = ShardedRunner::new(Arc::new(registry), &serve_config(4));
             for (seed, q) in wave {
-                runner.submit(mut_request(resident, *seed, q));
+                runner.submit(mut_request(resident, *seed, q).build());
             }
-            fps.extend(
-                runner
-                    .collect_ordered(wave.len())
-                    .iter()
-                    .map(|o| o.fingerprint()),
-            );
+            fps.extend(fingerprints(&runner.collect_ordered(wave.len())));
             if let Some(batch) = mut_batches.get(w) {
                 log.extend(batch.iter().cloned());
             }
@@ -800,21 +767,21 @@ fn serve_experiment(quick: bool) {
         if it == 0 {
             // Replay determinism: identical payloads, epoch field aside (the
             // rebuilt registries are always at epoch 0).
-            assert_eq!(fps.len(), mut_reference.len());
-            for (fresh, reference) in fps.iter().zip(&mut_reference) {
-                let payload_matches = fresh.0 == reference.0
-                    && fresh.2 == reference.2
-                    && fresh.3 == reference.3
-                    && fresh.4 == reference.4
-                    && fresh.5 == reference.5
-                    && fresh.6 == reference.6
-                    && fresh.7 == reference.7;
-                assert!(
-                    payload_matches,
-                    "serve mutation: rebuilt-from-log outcome diverged (seed {})",
-                    reference.0
-                );
-            }
+            let identical = fps.len() == mut_reference.len()
+                && fps.iter().zip(&mut_reference).all(|(fresh, reference)| {
+                    fresh.0 == reference.0
+                        && fresh.2 == reference.2
+                        && fresh.3 == reference.3
+                        && fresh.4 == reference.4
+                        && fresh.5 == reference.5
+                        && fresh.6 == reference.6
+                        && fresh.7 == reference.7
+                });
+            assert!(
+                identical,
+                "serve mutation: rebuilt-from-log outcomes diverged"
+            );
+            replay_identical &= identical;
         }
     }
     // --- Restart-replay: the WAL is the cross-process determinism oracle.
@@ -850,10 +817,7 @@ fn serve_experiment(quick: bool) {
             let mut runner = BatchRunner::new();
             for (w, wave) in mut_requests.iter().take(epochs).enumerate() {
                 for ((seed, q), reference) in wave.iter().zip(&mut_reference[w * mut_queries..]) {
-                    let req = SolveRequest::induced(rid, q.clone())
-                        .algorithm(Algorithm::Bl(BlConfig::default()))
-                        .seed(*seed)
-                        .tenant(TenantId(*seed % 3))
+                    let req = mut_request(rid, *seed, q)
                         .pin(EpochPin::At(Epoch(w as u64)))
                         .build();
                     identical &= runner.solve(&restored, &req).fingerprint() == *reference;
@@ -877,28 +841,18 @@ fn serve_experiment(quick: bool) {
             ResidentRegistry::with_retention(RetentionPolicy::keep_last(retention_keep_last));
         let resident = registry.register(mut_base.clone());
         let registry = Arc::new(registry);
-        let config = ServeConfig {
-            shards: 4,
-            queue_depth: 64,
-            threads_per_shard: Some(1),
-            ..ServeConfig::default()
-        };
-        let mut runner = ShardedRunner::new(Arc::clone(&registry), &config);
+        let mut runner = ShardedRunner::new(Arc::clone(&registry), &serve_config(4));
         let mut snapshots_max = registry.retained_snapshots(resident);
         for (w, wave) in mut_requests.iter().enumerate() {
             for (seed, q) in wave {
-                runner.submit(mut_request(resident, *seed, q));
+                runner.submit(mut_request(resident, *seed, q).build());
             }
             if let Some(batch) = mut_batches.get(w) {
                 registry.apply(resident, batch).expect("valid edit batch");
             }
             snapshots_max = snapshots_max.max(registry.retained_snapshots(resident));
         }
-        let fps: Vec<SolveFingerprint> = runner
-            .collect_ordered(mut_waves * mut_queries)
-            .iter()
-            .map(|o| o.fingerprint())
-            .collect();
+        let fps = fingerprints(&runner.collect_ordered(mut_waves * mut_queries));
         assert!(
             snapshots_max <= retention_keep_last as usize + 2,
             "serve mutation: keep_last={retention_keep_last} retained {snapshots_max} snapshots"
@@ -911,51 +865,29 @@ fn serve_experiment(quick: bool) {
         (snapshots_max, registry.evictions(resident), identical)
     };
 
-    let mutate_speedup = rebuild_ms / mutate_ms;
-    entries.push(format!(
-        concat!(
-            "    {{\"kind\": \"mutation\", \"n\": {}, \"epochs\": {}, ",
-            "\"queries_per_epoch\": {}, \"mutate_ms\": {:.4}, \"rebuild_ms\": {:.4}, ",
-            "\"mutate_vs_rebuild_speedup\": {:.3}, \"replay_identical\": true, ",
-            "\"wal_replay_identical\": {}, \"retention_keep_last\": {}, ",
-            "\"retention_snapshots_max\": {}, \"retention_evictions\": {}, ",
-            "\"retention_latest_identical\": {}, \"outcome_fingerprint\": \"{}\"}}"
-        ),
-        mut_n,
-        mut_waves,
-        mut_queries,
-        mutate_ms,
-        rebuild_ms,
-        mutate_speedup,
-        wal_replay_identical,
-        retention_keep_last,
-        retention_snapshots_max,
-        retention_evictions,
-        retention_latest_identical,
-        fingerprint_hex(&mut_reference),
-    ));
-    println!(
-        "### mutation — {mut_waves} epochs x {mut_queries} induced queries (n={mut_n}): \
-         mutate {mutate_ms:.2} ms vs rebuild {rebuild_ms:.2} ms ({mutate_speedup:.2}x; \
-         replay-identical, WAL-replay-identical, keep_last={retention_keep_last} retention \
-         bounded at {retention_snapshots_max} snapshots / {retention_evictions} evictions)\n"
+    let mutation = obj! {
+        "kind" => "mutation",
+        "n" => mut_n,
+        "epochs" => mut_waves,
+        "queries_per_epoch" => mut_queries,
+        "mutate_ms" => ms(mutate_ms),
+        "rebuild_ms" => ms(rebuild_ms),
+        "mutate_vs_rebuild_speedup" => speedup(rebuild_ms / mutate_ms),
+        "replay_identical" => replay_identical,
+        "wal_replay_identical" => wal_replay_identical,
+        "retention_keep_last" => retention_keep_last,
+        "retention_snapshots_max" => retention_snapshots_max,
+        "retention_evictions" => retention_evictions,
+        "retention_latest_identical" => retention_latest_identical,
+        "outcome_fingerprint" => fingerprint_hex(&mut_reference),
+    };
+    println!("### mutation — {mut_waves} epochs x {mut_queries} induced queries (n={mut_n})\n");
+    print_table(
+        std::slice::from_ref(&mutation),
+        "mutate_ms rebuild_ms mutate_vs_rebuild_speedup retention_snapshots_max \
+         retention_evictions",
     );
-
-    println!(
-        "{}",
-        markdown_table(
-            &[
-                "workload",
-                "n",
-                "shards",
-                "sequential ms",
-                "serve ms",
-                "speedup",
-                "req/s"
-            ],
-            &rows
-        )
-    );
+    entries.push(mutation);
 
     // --- The shard-scaling assertion (CI satellite): with real cores, the
     // serve layer must deliver aggregate throughput at 8 shards ≥ 1.5× the
@@ -978,27 +910,25 @@ fn serve_experiment(quick: bool) {
         format!("record-only (host_parallelism={host} < 4)")
     };
 
-    let mut json = String::from("{\n  \"experiment\": \"serve_sharded_runner\",\n");
-    let _ = writeln!(
-        json,
-        "  \"baseline\": \"sequential BatchRunner::solve over the request stream (single-shard \
-         amortized path: one workspace, no threads, no queues)\",\n  \
-         \"candidate\": \"ShardedRunner (N worker shards, per-shard WorkspacePool affinity, \
-         tenant routing + admission, bounded queues, ordered/streaming collection)\",\n  \
-         \"iters\": {iters},\n  \"host_parallelism\": {host},\n  \
-         \"scaling_assertion\": \"{scaling_assertion}\",\n  \
-         \"largest_workload\": {{\"kind\": \"query\", \"n\": {largest_n}, \
-         \"instances\": {instances}, \"shards\": 8, \
-         \"speedup_vs_1shard\": {largest_speedup:.3}}},\n  \
-         \"workloads\": ["
-    );
-    json.push_str(&entries.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!(
-        "wrote BENCH_serve.json (largest workload: query n={largest_n}, 8 shards: \
-         {largest_speedup:.2}x vs 1 shard; host parallelism {host})\n"
-    );
+    obj! {
+        "experiment" => "serve_sharded_runner",
+        "baseline" => "sequential BatchRunner::solve over the request stream (single-shard \
+                       amortized path: one workspace, no threads, no queues)",
+        "candidate" => "ShardedRunner (N worker shards, per-shard WorkspacePool affinity, \
+                        tenant routing + admission, bounded queues, ordered/streaming \
+                        collection)",
+        "iters" => iters,
+        "host_parallelism" => host,
+        "scaling_assertion" => scaling_assertion,
+        "largest_workload" => obj! {
+            "kind" => "query",
+            "n" => largest_n,
+            "instances" => instances,
+            "shards" => 8usize,
+            "speedup_vs_1shard" => speedup(largest_speedup),
+        },
+        "workloads" => entries,
+    }
 }
 
 /// The cold-start experiment (the PR-9 tentpole gate): how fast does a
@@ -1023,17 +953,13 @@ fn serve_experiment(quick: bool) {
 /// `BENCH_coldstart.json` (banded in the gate); the acceptance bar is
 /// `open_mapped` first-query latency ≥ 5× faster than parse+build on the
 /// largest workload, asserted here.
-fn coldstart_experiment(quick: bool) {
-    use hypergraph_mis::serve::{
-        Algorithm, ResidentRegistry, SolveFingerprint, SolveRequest, TenantId,
-    };
-    use std::sync::Arc;
+fn coldstart_experiment(quick: bool) -> Json {
+    use hypergraph_mis::serve::{Algorithm, ResidentRegistry, SolveRequest, TenantId};
 
     println!("\n## coldstart — parse+build vs WAL restore vs mmap open, file to first answer\n");
-    let iters = if quick { 3 } else { 5 };
+    let iters = if quick { 3usize } else { 5 };
     let steady_queries = 64usize;
     let pid = std::process::id();
-    let mut rows = Vec::new();
     let mut entries = Vec::new();
     let mut largest: Option<(usize, f64)> = None;
 
@@ -1047,22 +973,10 @@ fn coldstart_experiment(quick: bool) {
         hypergraph::io::write_wal(&wal_path, 0, &graph, &[]).expect("write coldstart WAL");
         hypergraph::io::write_csr(&graph, &csr_path).expect("write coldstart CSR snapshot");
 
-        // The first query every arm must answer from cold, and the
-        // steady-state stream the warm registries then serve.
-        let query_for = |i: usize| -> Arc<Vec<u32>> {
-            let mut rng = rng_for(0xC01D_1000 + (n + i) as u64);
-            let qsize = 512;
-            let mut q: Vec<u32> = (0..n as u32).collect();
-            for k in 0..qsize {
-                let j = rand::Rng::gen_range(&mut rng, k..n);
-                q.swap(k, j);
-            }
-            q.truncate(qsize);
-            q.sort_unstable();
-            Arc::new(q)
-        };
+        // Query `i`: the first one every arm must answer from cold, then the
+        // steady-state stream the warm registries serve.
         let request = |id, i: usize| {
-            SolveRequest::induced(id, query_for(i))
+            SolveRequest::induced(id, random_query(0xC01D_1000 + (n + i) as u64, n, 512))
                 .algorithm(Algorithm::Bl(BlConfig::default()))
                 .seed(0xC01D_2000 + (n * 131 + i) as u64)
                 .tenant(TenantId(i as u64 % 4))
@@ -1141,69 +1055,37 @@ fn coldstart_experiment(quick: bool) {
             steady_prints[0] == steady_prints[1],
             "coldstart: steady-state owned vs mapped outcomes diverged (n={n})"
         );
-        let steady_throughput = steady_queries as f64 / (steady_mapped_ms / 1e3);
 
         let speedup_parse = parse_ms / mapped_ms;
-        let speedup_restore = restore_ms / mapped_ms;
         largest = Some((n, speedup_parse));
         println!("workload n={n}: {}", mapped_stats.one_line());
-        rows.push(vec![
-            n.to_string(),
-            m.to_string(),
-            mapped_stats.bytes_resident.to_string(),
-            format!("{parse_ms:.2}"),
-            format!("{restore_ms:.2}"),
-            format!("{mapped_ms:.2}"),
-            format!("{speedup_parse:.1}x"),
-            format!("{steady_throughput:.0}"),
-        ]);
-        entries.push(format!(
-            concat!(
-                "    {{\"kind\": \"coldstart\", \"n\": {}, \"m\": {}, ",
-                "\"bytes_resident\": {}, \"storage\": \"{}\", ",
-                "\"parse_build_ms\": {:.4}, \"restore_ms\": {:.4}, ",
-                "\"open_mapped_ms\": {:.4}, \"speedup_mapped_vs_parse\": {:.3}, ",
-                "\"speedup_mapped_vs_restore\": {:.3}, \"mapped_identical\": {}, ",
-                "\"outcome_fingerprint\": \"{}\", \"steady_queries\": {}, ",
-                "\"steady_owned_ms\": {:.4}, \"steady_mapped_ms\": {:.4}, ",
-                "\"steady_throughput_per_s\": {:.1}}}"
-            ),
-            n,
-            m,
-            mapped_stats.bytes_resident,
-            mapped_stats.storage,
-            parse_ms,
-            restore_ms,
-            mapped_ms,
-            speedup_parse,
-            speedup_restore,
-            mapped_identical,
-            fingerprint_hex(&steady_prints[0]),
-            steady_queries,
-            steady_owned_ms,
-            steady_mapped_ms,
-            steady_throughput,
-        ));
+        entries.push(obj! {
+            "kind" => "coldstart",
+            "n" => n,
+            "m" => m,
+            "bytes_resident" => mapped_stats.bytes_resident,
+            "storage" => mapped_stats.storage,
+            "parse_build_ms" => ms(parse_ms),
+            "restore_ms" => ms(restore_ms),
+            "open_mapped_ms" => ms(mapped_ms),
+            "speedup_mapped_vs_parse" => speedup(speedup_parse),
+            "speedup_mapped_vs_restore" => speedup(restore_ms / mapped_ms),
+            "mapped_identical" => mapped_identical,
+            "outcome_fingerprint" => fingerprint_hex(&steady_prints[0]),
+            "steady_queries" => steady_queries,
+            "steady_owned_ms" => ms(steady_owned_ms),
+            "steady_mapped_ms" => ms(steady_mapped_ms),
+            "steady_throughput_per_s" => per_s(steady_queries as f64 / (steady_mapped_ms / 1e3)),
+        });
         std::fs::remove_file(&text_path).ok();
         std::fs::remove_file(&wal_path).ok();
         std::fs::remove_file(&csr_path).ok();
     }
 
-    println!(
-        "{}",
-        markdown_table(
-            &[
-                "n",
-                "m",
-                "bytes",
-                "parse+build ms",
-                "restore ms",
-                "mmap open ms",
-                "mapped speedup",
-                "steady req/s"
-            ],
-            &rows
-        )
+    print_table(
+        &entries,
+        "n m bytes_resident parse_build_ms restore_ms open_mapped_ms speedup_mapped_vs_parse \
+         steady_throughput_per_s",
     );
 
     // The tentpole acceptance bar: on the largest resident workload, the
@@ -1216,25 +1098,20 @@ fn coldstart_experiment(quick: bool) {
          parse+build on the largest workload (n={largest_n}; target >= 5x)"
     );
 
-    let mut json = String::from("{\n  \"experiment\": \"coldstart_resident_graphs\",\n");
-    let _ = writeln!(
-        json,
-        "  \"baseline\": \"parse+build from the text snapshot (read_file: full parse, \
-         validation, counting-sort rebuild, then register)\",\n  \
-         \"candidate\": \"open_mapped on the HGCSR snapshot (checksummed header validation + \
-         zero-copy mmap of the four CSR arrays, queries induced from the mapping)\",\n  \
-         \"iters\": {iters},\n  \
-         \"largest_workload\": {{\"kind\": \"coldstart\", \"n\": {largest_n}, \
-         \"speedup_mapped_vs_parse\": {largest_speedup:.3}}},\n  \
-         \"workloads\": ["
-    );
-    json.push_str(&entries.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_coldstart.json", &json).expect("write BENCH_coldstart.json");
-    println!(
-        "\nwrote BENCH_coldstart.json (largest workload n={largest_n}: open_mapped \
-         {largest_speedup:.2}x faster to first answer than parse+build)\n"
-    );
+    obj! {
+        "experiment" => "coldstart_resident_graphs",
+        "baseline" => "parse+build from the text snapshot (read_file: full parse, validation, \
+                       counting-sort rebuild, then register)",
+        "candidate" => "open_mapped on the HGCSR snapshot (checksummed header validation + \
+                        zero-copy mmap of the four CSR arrays, queries induced from the mapping)",
+        "iters" => iters,
+        "largest_workload" => obj! {
+            "kind" => "coldstart",
+            "n" => largest_n,
+            "speedup_mapped_vs_parse" => speedup(largest_speedup),
+        },
+        "workloads" => entries,
+    }
 }
 
 /// The serve-net experiment (the PR-10 tentpole gate): the `MISP 1` socket
@@ -1258,17 +1135,15 @@ fn coldstart_experiment(quick: bool) {
 /// a determinism flag in the gate, plus the exact-matched
 /// `outcome_fingerprint`. Latency percentiles go to `BENCH_net.json` and are
 /// banded by the gate.
-fn net_experiment(quick: bool) {
+fn net_experiment(quick: bool) -> Json {
     use bench::load::{plan, LoadConfig};
     use hypergraph_mis::net::{Client, NetConfig, Server};
-    use hypergraph_mis::serve::{
-        Algorithm, ResidentRegistry, ServeConfig, SolveFingerprint, SolveRequest, TenantId,
-    };
+    use hypergraph_mis::serve::{Algorithm, ResidentRegistry, SolveRequest, TenantId};
     use std::sync::Arc;
     use std::time::Duration;
 
     println!("\n## net — MISP loopback serving under deterministic open-loop load\n");
-    let iters = if quick { 3 } else { 5 };
+    let iters = if quick { 3usize } else { 5 };
     let n = 16384usize;
     let load = LoadConfig {
         seed: 0x6E73,
@@ -1288,14 +1163,7 @@ fn net_experiment(quick: bool) {
     let requests: Vec<SolveRequest> = schedule
         .iter()
         .map(|a| {
-            let mut rng = rng_for(0x6E73_1000 ^ a.solve_seed);
-            let mut q: Vec<u32> = (0..n as u32).collect();
-            for k in 0..a.query_size {
-                let j = rand::Rng::gen_range(&mut rng, k..n);
-                q.swap(k, j);
-            }
-            q.truncate(a.query_size);
-            q.sort_unstable();
+            let q = random_query(0x6E73_1000 ^ a.solve_seed, n, a.query_size);
             SolveRequest::induced(resident, q)
                 .algorithm(Algorithm::Bl(BlConfig::default()))
                 .seed(a.solve_seed)
@@ -1317,18 +1185,13 @@ fn net_experiment(quick: bool) {
         sorted_us[idx] as f64 / 1e3
     };
 
-    let mut rows = Vec::new();
     let mut entries = Vec::new();
     for shards in [1usize, 4] {
         let config = NetConfig {
-            serve: ServeConfig {
-                shards,
-                queue_depth: 64,
-                threads_per_shard: Some(1),
-                ..ServeConfig::default()
-            },
+            serve: serve_config(shards),
             ..NetConfig::default()
         };
+        let mut wire_identical = true;
         let (mut p50, mut p95, mut p99) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
         let mut saturation_rps = 0.0f64;
         for it in 0..iters {
@@ -1363,11 +1226,13 @@ fn net_experiment(quick: bool) {
                 latencies_us[idx] =
                     done.checked_sub(scheduled).unwrap_or_default().as_micros() as u64;
                 if it == 0 {
+                    let identical = reply.outcome.fingerprint() == reference[idx];
                     assert!(
-                        reply.outcome.fingerprint() == reference[idx],
+                        identical,
                         "net: wire outcome diverged from the in-process BatchRunner \
                          (shards={shards}, request {idx})"
                     );
+                    wire_identical &= identical;
                 }
             }
             sender.join().expect("net: sender thread");
@@ -1408,67 +1273,43 @@ fn net_experiment(quick: bool) {
             server.shutdown();
             saturation_rps = saturation_rps.max(requests.len() as f64 / elapsed);
         }
-        rows.push(vec![
-            shards.to_string(),
-            load.requests.to_string(),
-            format!("{p50:.2}"),
-            format!("{p95:.2}"),
-            format!("{p99:.2}"),
-            format!("{saturation_rps:.0}"),
-        ]);
-        entries.push(format!(
-            concat!(
-                "    {{\"kind\": \"loopback\", \"shards\": {}, \"requests\": {}, ",
-                "\"tenants\": {}, \"hot_tenant_requests\": {}, ",
-                "\"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}, ",
-                "\"saturation_rps\": {:.1}, \"wire_identical\": true, ",
-                "\"outcome_fingerprint\": \"{}\"}}"
-            ),
-            shards,
-            load.requests,
-            load.tenants,
-            hot_requests,
-            p50,
-            p95,
-            p99,
-            saturation_rps,
-            fingerprint_hex(&reference),
-        ));
+        entries.push(obj! {
+            "kind" => "loopback",
+            "shards" => shards,
+            "requests" => load.requests,
+            "tenants" => load.tenants,
+            "hot_tenant_requests" => hot_requests,
+            "p50_ms" => ms(p50),
+            "p95_ms" => ms(p95),
+            "p99_ms" => ms(p99),
+            "saturation_rps" => per_s(saturation_rps),
+            "wire_identical" => wire_identical,
+            "outcome_fingerprint" => fingerprint_hex(&reference),
+        });
     }
-    println!(
-        "{}",
-        markdown_table(
-            &[
-                "shards",
-                "requests",
-                "p50 ms",
-                "p95 ms",
-                "p99 ms",
-                "saturation req/s"
-            ],
-            &rows
-        )
+    print_table(
+        &entries,
+        "shards requests p50_ms p95_ms p99_ms saturation_rps",
     );
 
-    let mut json = String::from("{\n  \"experiment\": \"net_misp_loopback\",\n");
-    let _ = writeln!(
-        json,
-        "  \"protocol\": \"MISP 1 (length-prefixed frames, FNV-1a payload checksums)\",\n  \
-         \"load\": \"open-loop exponential arrivals (mean {:.0}us), bounded-Pareto induced \
-         query sizes {}..={} (alpha {}), hot tenant 0 of {} at {:.0}% share\",\n  \
-         \"requests\": {},\n  \"iters\": {iters},\n  \"n\": {n},\n  \"workloads\": [",
-        load.mean_interarrival_us,
-        load.min_query,
-        load.max_query,
-        load.tail_alpha,
-        load.tenants,
-        load.hot_share * 100.0,
-        load.requests,
-    );
-    json.push_str(&entries.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_net.json", &json).expect("write BENCH_net.json");
-    println!("wrote BENCH_net.json (every wire outcome fingerprint-identical in-process)\n");
+    obj! {
+        "experiment" => "net_misp_loopback",
+        "protocol" => "MISP 1 (length-prefixed frames, FNV-1a payload checksums)",
+        "load" => format!(
+            "open-loop exponential arrivals (mean {:.0}us), bounded-Pareto induced query sizes \
+             {}..={} (alpha {}), hot tenant 0 of {} at {:.0}% share",
+            load.mean_interarrival_us,
+            load.min_query,
+            load.max_query,
+            load.tail_alpha,
+            load.tenants,
+            load.hot_share * 100.0,
+        ),
+        "requests" => load.requests,
+        "iters" => iters,
+        "n" => n,
+        "workloads" => entries,
+    }
 }
 
 /// A stable hex fingerprint over a sequence of per-request outcomes (FNV-1a
@@ -1486,6 +1327,11 @@ fn fingerprint_hex<T: std::fmt::Debug>(items: &[T]) -> String {
         acc = fnv1a(&chain);
     }
     format!("0x{acc:016x}")
+}
+
+/// The per-request fingerprints of a stream's outcomes, in order.
+fn fingerprints(outs: &[SolveOutcome]) -> Vec<SolveFingerprint> {
+    outs.iter().map(|o| o.fingerprint()).collect()
 }
 
 /// The batch-serving experiment: streams of 100 MIS solves answered
@@ -1511,15 +1357,14 @@ fn fingerprint_hex<T: std::fmt::Debug>(items: &[T]) -> String {
 ///
 /// Asserts that both arms return identical independent sets and identical
 /// cost totals for every instance, and writes the wall times to
-/// `BENCH_batch.json` (consumed by CI as an artifact; the acceptance bar is
-/// a ≥ 1.3× amortized speedup on the largest workload).
-fn batch_runner_experiment(quick: bool) {
+/// `BENCH_batch.json` (consumed by CI as an artifact). No speedup bar is
+/// asserted here; the gate's speedup floor is the only one that applies.
+fn batch_runner_experiment(quick: bool) -> Json {
     println!(
         "\n## batch — cold (rebuild pipeline) vs amortized (workspace-reusing) solve streams\n"
     );
     let instances = 100usize;
-    let iters = if quick { 3 } else { 7 };
-    let mut rows = Vec::new();
+    let iters = if quick { 3usize } else { 7 };
     let mut entries = Vec::new();
     let mut largest: Option<(usize, f64)> = None;
 
@@ -1530,19 +1375,8 @@ fn batch_runner_experiment(quick: bool) {
     for n in [16384usize, 65536, 262144] {
         let base = uniform_workload(n, 3, 0xBA7C);
         let resident = ActiveHypergraph::from_hypergraph(&base);
-        let qsize = 512;
         let queries: Vec<Vec<u32>> = (0..instances)
-            .map(|i| {
-                let mut rng = rng_for(0xBA7C_1000 + (n + i) as u64);
-                let mut q: Vec<u32> = (0..n as u32).collect();
-                for k in 0..qsize {
-                    let j = rand::Rng::gen_range(&mut rng, k..n);
-                    q.swap(k, j);
-                }
-                q.truncate(qsize);
-                q.sort_unstable();
-                q
-            })
+            .map(|i| random_query(0xBA7C_1000 + (n + i) as u64, n, 512))
             .collect();
         let solve_rng = |i: usize| rng_for(0xBA7C_2000 + (n * 131 + i) as u64);
         let bl_cfg = BlConfig::default();
@@ -1625,12 +1459,6 @@ fn batch_runner_experiment(quick: bool) {
             }
         }
 
-        let (sets_identical, costs_identical) =
-            compare_outcomes(&cold_outcomes, &amortized_outcomes);
-        assert!(
-            sets_identical && costs_identical,
-            "batch query: cold and amortized solves disagree (n={n})"
-        );
         // Spot-check independence of the answers against the resident state.
         for (i, q) in queries.iter().enumerate().take(5) {
             for &v in q {
@@ -1646,21 +1474,15 @@ fn batch_runner_experiment(quick: bool) {
             );
         }
 
-        let speedup = best_cold / best_amortized;
-        largest = Some((n, speedup));
-        push_batch_row(
-            &mut rows,
-            &mut entries,
+        largest = Some((n, best_cold / best_amortized));
+        entries.push(batch_entry(
             "query",
             n,
-            instances,
-            best_cold,
-            best_amortized,
+            (best_cold, best_amortized),
             warm_allocations,
-            sets_identical,
-            costs_identical,
-            &fingerprint_hex(&cold_outcomes),
-        );
+            &cold_outcomes,
+            &amortized_outcomes,
+        ));
     }
 
     // --- Family 2: independent full SBL solves. ---
@@ -1720,115 +1542,70 @@ fn batch_runner_experiment(quick: bool) {
             }
         }
 
-        let (sets_identical, costs_identical) =
-            compare_outcomes(&cold_outcomes, &amortized_outcomes);
-        assert!(
-            sets_identical && costs_identical,
-            "batch sbl: cold and amortized solves disagree (n={n})"
-        );
-        push_batch_row(
-            &mut rows,
-            &mut entries,
+        entries.push(batch_entry(
             "sbl_stream",
             n,
-            instances,
-            best_cold,
-            best_amortized,
+            (best_cold, best_amortized),
             warm_allocations,
-            sets_identical,
-            costs_identical,
-            &fingerprint_hex(&cold_outcomes),
-        );
+            &cold_outcomes,
+            &amortized_outcomes,
+        ));
     }
 
-    println!(
-        "{}",
-        markdown_table(
-            &[
-                "workload",
-                "n",
-                "instances",
-                "cold ms",
-                "amortized ms",
-                "speedup",
-                "warm fresh allocs"
-            ],
-            &rows
-        )
+    print_table(
+        &entries,
+        "kind n instances cold_ms amortized_ms speedup warm_fresh_allocations",
     );
     let (largest_n, largest_speedup) = largest.expect("at least one workload");
-    let mut json = String::from("{\n  \"experiment\": \"batch_runner\",\n");
-    let _ = writeln!(
-        json,
-        "  \"baseline\": \"cold solves (rebuild pipeline: fresh engine / allocating induced_by \
-         per instance, fresh scratch per subcall)\",\n  \
-         \"candidate\": \"BatchRunner (one Workspace amortized across the stream: reset_from / \
-         reset_induced with compact incidence + pooled scratch)\",\n  \
-         \"iters\": {iters},\n  \
-         \"largest_workload\": {{\"kind\": \"query\", \"n\": {largest_n}, \
-         \"instances\": {instances}, \"speedup\": {largest_speedup:.3}}},\n  \
-         \"workloads\": ["
-    );
-    json.push_str(&entries.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_batch.json", &json).expect("write BENCH_batch.json");
-    println!(
-        "wrote BENCH_batch.json (largest workload: query n={largest_n}: {largest_speedup:.2}x amortized speedup)\n"
-    );
+    obj! {
+        "experiment" => "batch_runner",
+        "baseline" => "cold solves (rebuild pipeline: fresh engine / allocating induced_by per \
+                       instance, fresh scratch per subcall)",
+        "candidate" => "BatchRunner (one Workspace amortized across the stream: reset_from / \
+                        reset_induced with compact incidence + pooled scratch)",
+        "iters" => iters,
+        "largest_workload" => obj! {
+            "kind" => "query",
+            "n" => largest_n,
+            "instances" => instances,
+            "speedup" => speedup(largest_speedup),
+        },
+        "workloads" => entries,
+    }
 }
 
 /// Per-instance batch outcome: `(independent set, (work, depth, rounds))`.
 type BatchOutcome = (Vec<u32>, (u64, u64, u64));
 
-/// Compares per-instance outcomes of the two batch arms.
-fn compare_outcomes(cold: &[BatchOutcome], amortized: &[BatchOutcome]) -> (bool, bool) {
-    let sets = cold.len() == amortized.len() && cold.iter().zip(amortized).all(|(c, a)| c.0 == a.0);
-    let costs = cold.iter().zip(amortized).all(|(c, a)| c.1 == a.1);
-    (sets, costs)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn push_batch_row(
-    rows: &mut Vec<Vec<String>>,
-    entries: &mut Vec<String>,
+/// One batch workload's artifact entry. The two arms must agree on every
+/// instance's set and cost totals.
+fn batch_entry(
     kind: &str,
     n: usize,
-    instances: usize,
-    cold_ms: f64,
-    amortized_ms: f64,
+    (cold_ms, amortized_ms): (f64, f64),
     warm_allocations: u64,
-    sets_identical: bool,
-    costs_identical: bool,
-    fingerprint: &str,
-) {
-    let speedup = cold_ms / amortized_ms;
-    rows.push(vec![
-        kind.to_string(),
-        n.to_string(),
-        instances.to_string(),
-        format!("{cold_ms:.2}"),
-        format!("{amortized_ms:.2}"),
-        format!("{speedup:.2}x"),
-        warm_allocations.to_string(),
-    ]);
-    entries.push(format!(
-        concat!(
-            "    {{\"kind\": \"{}\", \"n\": {}, \"instances\": {}, \"cold_ms\": {:.4}, ",
-            "\"amortized_ms\": {:.4}, \"speedup\": {:.3}, ",
-            "\"warm_fresh_allocations\": {}, \"outcome_fingerprint\": \"{}\", ",
-            "\"sets_identical\": {}, \"costs_identical\": {}}}"
-        ),
-        kind,
-        n,
-        instances,
-        cold_ms,
-        amortized_ms,
-        speedup,
-        warm_allocations,
-        fingerprint,
-        sets_identical,
-        costs_identical,
-    ));
+    cold: &[BatchOutcome],
+    amortized: &[BatchOutcome],
+) -> Json {
+    let sets_identical =
+        cold.len() == amortized.len() && cold.iter().zip(amortized).all(|(c, a)| c.0 == a.0);
+    let costs_identical = cold.iter().zip(amortized).all(|(c, a)| c.1 == a.1);
+    assert!(
+        sets_identical && costs_identical,
+        "batch {kind}: cold and amortized solves disagree (n={n})"
+    );
+    obj! {
+        "kind" => kind,
+        "n" => n,
+        "instances" => cold.len(),
+        "cold_ms" => ms(cold_ms),
+        "amortized_ms" => ms(amortized_ms),
+        "speedup" => speedup(cold_ms / amortized_ms),
+        "warm_fresh_allocations" => warm_allocations,
+        "outcome_fingerprint" => fingerprint_hex(cold),
+        "sets_identical" => sets_identical,
+        "costs_identical" => costs_identical,
+    }
 }
 
 /// A `ChaCha8Rng` that counts the 32-bit keystream words drawn from it
@@ -1873,14 +1650,14 @@ fn sbl_on_fresh_engine<E: hypergraph::ActiveEngine + Send + 'static>(
 /// independent set, same cost totals, same number of keystream words read)
 /// and records wall time and per-round cost for both, plus the words one
 /// solve reads (`rng_draws`), into `BENCH_activeset.json` (consumed by CI
-/// as an artifact; the acceptance bar is a ≥ 2× speedup on the largest
-/// workload).
+/// as an artifact). No speedup bar is asserted here; the gate's speedup
+/// floor is the only one that applies.
 #[cfg(feature = "reference-engine")]
-fn activeset_engine_guard(quick: bool) {
+fn activeset_engine_guard(quick: bool) -> Json {
     use hypergraph::ReferenceActiveHypergraph;
     use rand::RngCore as _;
     println!("\n## activeset — flat engine vs reference engine on the sbl_scaling workloads\n");
-    let iters = if quick { 3 } else { 7 };
+    let iters = if quick { 3usize } else { 7 };
 
     // Micro-throughput of the two vectorized hot loops, measured through the
     // same entry points the engines use. The `_ms` keys gate as wall-time
@@ -1917,14 +1694,7 @@ fn activeset_engine_guard(quick: bool) {
         assert_eq!(live, compacted.len(), "activeset: sweep self-check failed");
         std::hint::black_box(mass);
     }
-    println!(
-        "keystream fill [{}]: {rng_fill_ms:.3} ms / {rng_words} words; \
-         status sweeps [{}]: {sweep_ms:.3} ms / {sweep_bytes} bytes\n",
-        rand_chacha::simd::active_path(),
-        pram::simd::active_path(),
-    );
 
-    let mut rows = Vec::new();
     let mut entries = Vec::new();
     let mut largest: Option<(usize, f64)> = None;
     for n in [256usize, 1024, 4096, 16384] {
@@ -1958,14 +1728,16 @@ fn activeset_engine_guard(quick: bool) {
         let ((flat_set, flat_cost), rng_draws) = flat.expect("iters >= 1");
 
         verify_mis(&h, &flat_set).expect("activeset: invalid MIS");
-        assert_eq!(
-            flat_set, reference_set,
+        let sets_identical = flat_set == reference_set;
+        assert!(
+            sets_identical,
             "activeset: engines disagree on the independent set (n={n})"
         );
         let (fc, rc) = (flat_cost.cost(), reference_cost.cost());
-        assert_eq!(
-            (fc.work, fc.depth, flat_cost.rounds()),
-            (rc.work, rc.depth, reference_cost.rounds()),
+        let costs_identical =
+            (fc.work, fc.depth, flat_cost.rounds()) == (rc.work, rc.depth, reference_cost.rounds());
+        assert!(
+            costs_identical,
             "activeset: engines disagree on cost totals (n={n})"
         );
         assert_eq!(
@@ -1974,86 +1746,56 @@ fn activeset_engine_guard(quick: bool) {
         );
 
         let rounds = flat_cost.rounds().max(1);
-        let speedup = best_ref / best_flat;
-        largest = Some((n, speedup));
-        rows.push(vec![
-            n.to_string(),
-            h.n_edges().to_string(),
-            format!("{best_ref:.2}"),
-            format!("{best_flat:.2}"),
-            format!("{speedup:.2}x"),
-            rounds.to_string(),
-            format!("{:.3}", best_ref / rounds as f64),
-            format!("{:.3}", best_flat / rounds as f64),
-            (fc.work / rounds).to_string(),
-            rng_draws.to_string(),
-        ]);
-        entries.push(format!(
-            concat!(
-                "    {{\"n\": {}, \"m\": {}, \"reference_ms\": {:.4}, \"flat_ms\": {:.4}, ",
-                "\"speedup\": {:.3}, \"rounds\": {}, \"work\": {}, \"depth\": {}, ",
-                "\"reference_ms_per_round\": {:.5}, \"flat_ms_per_round\": {:.5}, ",
-                "\"work_per_round\": {}, \"rng_draws\": {}, \"set_fingerprint\": \"0x{:016x}\", ",
-                "\"sets_identical\": true, \"costs_identical\": true}}"
-            ),
-            n,
-            h.n_edges(),
-            best_ref,
-            best_flat,
-            speedup,
-            rounds,
-            fc.work,
-            fc.depth,
-            best_ref / rounds as f64,
-            best_flat / rounds as f64,
-            fc.work / rounds,
-            rng_draws,
-            bench::baseline::fnv1a(format!("{:?}", flat_set).as_bytes()),
-        ));
+        largest = Some((n, best_ref / best_flat));
+        let set_fingerprint = bench::baseline::fnv1a(format!("{flat_set:?}").as_bytes());
+        entries.push(obj! {
+            "n" => n,
+            "m" => h.n_edges(),
+            "reference_ms" => ms(best_ref),
+            "flat_ms" => ms(best_flat),
+            "speedup" => speedup(best_ref / best_flat),
+            "rounds" => rounds,
+            "work" => fc.work,
+            "depth" => fc.depth,
+            "reference_ms_per_round" => Json::fixed(best_ref / rounds as f64, 5),
+            "flat_ms_per_round" => Json::fixed(best_flat / rounds as f64, 5),
+            "work_per_round" => fc.work / rounds,
+            "rng_draws" => rng_draws,
+            "set_fingerprint" => format!("0x{set_fingerprint:016x}"),
+            "sets_identical" => sets_identical,
+            "costs_identical" => costs_identical,
+        });
     }
-    println!(
-        "{}",
-        markdown_table(
-            &[
-                "n",
-                "m",
-                "reference ms",
-                "flat ms",
-                "speedup",
-                "rounds",
-                "ref ms/round",
-                "flat ms/round",
-                "work/round",
-                "rng draws"
-            ],
-            &rows
-        )
+    print_table(
+        &entries,
+        "n m reference_ms flat_ms speedup rounds reference_ms_per_round flat_ms_per_round \
+         work_per_round rng_draws",
     );
     let (largest_n, largest_speedup) = largest.expect("at least one workload");
-    let mut json = String::from("{\n  \"experiment\": \"activeset_engine_guard\",\n");
-    let _ = writeln!(
-        json,
-        "  \"baseline\": \"ReferenceActiveHypergraph (pre-flat Vec/BTreeSet engine)\",\n  \
-         \"candidate\": \"ActiveHypergraph (flat epoch-stamped engine)\",\n  \
-         \"iters\": {iters},\n  \
-         \"simd\": {{\"keystream\": \"{}\", \"keystream_blocks_per_op\": {}, \
-         \"sweeps\": \"{}\", \"sweep_bytes_per_op\": {}, \"forced_scalar\": {}}},\n  \
-         \"rng_words\": {rng_words},\n  \"rng_fill_ms\": {rng_fill_ms:.4},\n  \
-         \"sweep_bytes\": {sweep_bytes},\n  \"sweep_ms\": {sweep_ms:.4},\n  \
-         \"largest_workload\": {{\"n\": {largest_n}, \"speedup\": {largest_speedup:.3}}},\n  \
-         \"workloads\": [",
-        rand_chacha::simd::active_path(),
-        rand_chacha::simd::backend().lanes(),
-        pram::simd::active_path(),
-        pram::simd::active().u8_lanes(),
-        rand_chacha::simd::forced_scalar() || pram::simd::forced_scalar(),
+    let artifact = obj! {
+        "experiment" => "activeset_engine_guard",
+        "baseline" => "ReferenceActiveHypergraph (pre-flat Vec/BTreeSet engine)",
+        "candidate" => "ActiveHypergraph (flat epoch-stamped engine)",
+        "iters" => iters,
+        "simd" => obj! {
+            "keystream" => rand_chacha::simd::active_path(),
+            "keystream_blocks_per_op" => rand_chacha::simd::backend().lanes(),
+            "sweeps" => pram::simd::active_path(),
+            "sweep_bytes_per_op" => pram::simd::active().u8_lanes(),
+            "forced_scalar" => rand_chacha::simd::forced_scalar() || pram::simd::forced_scalar(),
+        },
+        "rng_words" => rng_words,
+        "rng_fill_ms" => ms(rng_fill_ms),
+        "sweep_bytes" => sweep_bytes,
+        "sweep_ms" => ms(sweep_ms),
+        "largest_workload" => obj! { "n" => largest_n, "speedup" => speedup(largest_speedup) },
+        "workloads" => entries,
+    };
+    print_table(
+        std::slice::from_ref(&artifact),
+        "rng_words rng_fill_ms sweep_bytes sweep_ms",
     );
-    json.push_str(&entries.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_activeset.json", &json).expect("write BENCH_activeset.json");
-    println!(
-        "wrote BENCH_activeset.json (largest workload n={largest_n}: {largest_speedup:.2}x)\n"
-    );
+    artifact
 }
 
 fn ns(quick: bool, full: &[usize], small: &[usize]) -> Vec<usize> {

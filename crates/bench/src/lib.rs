@@ -1,7 +1,7 @@
 //! Shared workload builders and reporting helpers for the benchmarks and the
 //! `experiments` harness.
 //!
-//! Every experiment in EXPERIMENTS.md states its workload in terms of the
+//! Every experiment the harness runs states its workload in terms of the
 //! functions here, so the criterion benches and the harness binary measure
 //! exactly the same instances.
 
@@ -9,7 +9,7 @@ pub mod baseline;
 pub mod load;
 
 use hypergraph::{generate, Hypergraph};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// The fixed base seed used by every experiment (reproducibility).
@@ -41,8 +41,22 @@ pub fn linear_workload(n: usize, seed: u64) -> Hypergraph {
     generate::linear(&mut rng, n, (2 * n) / 3, 3)
 }
 
-/// Renders a markdown table (used by the experiments harness so its output can
-/// be pasted into EXPERIMENTS.md verbatim).
+/// An induced query: a uniform `size`-subset of `0..n`, ascending, drawn by
+/// a partial Fisher–Yates shuffle from [`rng_for`]`(tag)`.
+pub fn random_query(tag: u64, n: usize, size: usize) -> Vec<u32> {
+    let mut rng = rng_for(tag);
+    let mut q: Vec<u32> = (0..n as u32).collect();
+    for k in 0..size {
+        let j = rng.gen_range(k..n);
+        q.swap(k, j);
+    }
+    q.truncate(size);
+    q.sort_unstable();
+    q
+}
+
+/// Renders a markdown table (the experiments harness prints every result
+/// this way, so its output pastes into any markdown document verbatim).
 pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = String::new();
     out.push_str("| ");
@@ -58,14 +72,6 @@ pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         out.push_str(" |\n");
     }
     out
-}
-
-/// Geometric mean of a slice (0 if empty or any non-positive entry).
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() || xs.iter().any(|&x| x <= 0.0) {
-        return 0.0;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
 #[cfg(test)]
@@ -93,12 +99,43 @@ mod tests {
     }
 
     #[test]
-    fn markdown_and_geomean() {
+    fn markdown_table_renders_rows() {
         let t = markdown_table(&["a", "b"], &[vec!["1".into(), "2".into()]]);
         assert!(t.contains("| a | b |"));
         assert!(t.contains("| 1 | 2 |"));
-        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
-        assert_eq!(geomean(&[1.0, 0.0]), 0.0);
+    }
+
+    /// The partial shuffle every guard once wrote inline, kept as the oracle:
+    /// one slip in RNG order changes the guards' outcome fingerprints.
+    #[test]
+    fn random_query_matches_the_inline_shuffle() {
+        let inline = |tag: u64, n: usize, size: usize| {
+            let mut rng = rng_for(tag);
+            let mut q: Vec<u32> = (0..n as u32).collect();
+            for k in 0..size {
+                let j = rand::Rng::gen_range(&mut rng, k..n);
+                q.swap(k, j);
+            }
+            q.truncate(size);
+            q.sort_unstable();
+            q
+        };
+        let shapes = [
+            (16384, 512),
+            (65536, 512),
+            (262144, 512),
+            (4096, 128),
+            (8192, 256),
+            (16384, 32),
+            (16384, 1024),
+        ];
+        for (n, size) in shapes {
+            for tag in [0xBA7C_1000 + n as u64, 0x6E73_1000 ^ 0x5EED, 7] {
+                let q = random_query(tag, n, size);
+                assert_eq!(q, inline(tag, n, size), "n={n} size={size} tag={tag:#x}");
+                assert_eq!(q.len(), size);
+                assert!(q.windows(2).all(|w| w[0] < w[1]) && q[size - 1] < n as u32);
+            }
+        }
     }
 }

@@ -684,7 +684,7 @@ impl ActiveHypergraph {
     /// the SBL/BL rounds), each trimmed vertex walks its original incidence
     /// list and splices itself out of the affected segments; otherwise every
     /// live segment is compacted in place through the parallel
-    /// [`par_map_segments`](pram::primitives::par_map_segments) primitive.
+    /// [`par_map_segments_into`] primitive.
     pub fn shrink_edges_by(&mut self, set: &[bool], vs: &[VertexId]) -> usize {
         if let Some(work) = self.incidence_work(vs) {
             if work.saturating_mul(4) < self.total_live_size() {
@@ -754,7 +754,6 @@ impl ActiveHypergraph {
                 }
                 w as u32
             },
-            None,
             &mut new_lens,
         );
         let mut emptied = 0usize;
@@ -832,7 +831,6 @@ impl ActiveHypergraph {
                     .iter()
                     .any(|&v| set[v as usize])
             },
-            None,
             &mut hit,
         );
         let removed = self.apply_edge_hits(&hit, EDGE_DISCARDED);
@@ -856,7 +854,6 @@ impl ActiveHypergraph {
                     .iter()
                     .any(|&v| stamp[v as usize] == cur)
             },
-            None,
             &mut hit,
         );
         let removed = self.apply_edge_hits(&hit, reason);
@@ -926,37 +923,33 @@ impl ActiveHypergraph {
             let lo = offsets[e] as usize;
             &verts[lo..lo + live_len[e] as usize]
         };
-        let hits: Vec<Vec<u32>> = par_tabulate(
-            m,
-            |k| {
-                let e = slice_of(k);
-                // Any *other* live edge that contains every member of e is
-                // dominated. Candidates must be incident to the
-                // least-frequent member of e.
-                let pivot = e
-                    .iter()
-                    .copied()
-                    .min_by_key(|&v| run_of(v).len())
-                    .expect("live edges are non-empty");
-                let mut out = Vec::new();
-                for &pair in run_of(pivot) {
-                    let cand = (pair & u32::MAX as u64) as u32;
-                    if cand as usize == k {
-                        continue;
-                    }
-                    let ce = slice_of(cand as usize);
-                    // Equal-size edges cannot *strictly* contain e.
-                    if ce.len() <= e.len() {
-                        continue;
-                    }
-                    if e.iter().all(|&v| ce.binary_search(&v).is_ok()) {
-                        out.push(cand);
-                    }
+        let hits: Vec<Vec<u32>> = par_tabulate(m, |k| {
+            let e = slice_of(k);
+            // Any *other* live edge that contains every member of e is
+            // dominated. Candidates must be incident to the
+            // least-frequent member of e.
+            let pivot = e
+                .iter()
+                .copied()
+                .min_by_key(|&v| run_of(v).len())
+                .expect("live edges are non-empty");
+            let mut out = Vec::new();
+            for &pair in run_of(pivot) {
+                let cand = (pair & u32::MAX as u64) as u32;
+                if cand as usize == k {
+                    continue;
                 }
-                out
-            },
-            None,
-        );
+                let ce = slice_of(cand as usize);
+                // Equal-size edges cannot *strictly* contain e.
+                if ce.len() <= e.len() {
+                    continue;
+                }
+                if e.iter().all(|&v| ce.binary_search(&v).is_ok()) {
+                    out.push(cand);
+                }
+            }
+            out
+        });
         let mut dead = std::mem::take(&mut self.scratch.dead);
         dead.clear();
         dead.resize(m, false);
@@ -1276,16 +1269,12 @@ impl ActiveHypergraph {
         let offsets = &self.edge_offsets;
         let verts = &self.edge_vertices;
         let live_len = &self.live_len;
-        let keep: Vec<bool> = par_map(
-            &self.live_edges,
-            |&e| {
-                let lo = offsets[e as usize] as usize;
-                verts[lo..lo + live_len[e as usize] as usize]
-                    .iter()
-                    .all(|&v| status_ref[v as usize] == V_ALIVE)
-            },
-            None,
-        );
+        let keep: Vec<bool> = par_map(&self.live_edges, |&e| {
+            let lo = offsets[e as usize] as usize;
+            verts[lo..lo + live_len[e as usize] as usize]
+                .iter()
+                .all(|&v| status_ref[v as usize] == V_ALIVE)
+        });
         let edges = self
             .live_edges
             .iter()

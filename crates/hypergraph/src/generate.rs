@@ -1,5 +1,5 @@
 //! Seeded random hypergraph generators — the workload generators behind every
-//! experiment in EXPERIMENTS.md.
+//! experiment the `experiments` harness (crate `bench`) runs.
 //!
 //! All generators take a caller-supplied [`Rng`] so that experiments and tests
 //! are reproducible (`rand_chacha::ChaCha8Rng::seed_from_u64` throughout the

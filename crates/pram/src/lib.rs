@@ -8,12 +8,9 @@
 //!   algorithm in the workspace records per-step work and depth, plus a
 //!   *round* counter for the global synchronisation barriers that the paper's
 //!   theorems actually bound.
-//! * [`primitives`] — the PRAM building blocks (map, reduce, scan, compact,
-//!   tabulate) executed with rayon and charged with their textbook
-//!   `O(n)`-work / `O(log n)`-depth costs.
-//! * [`erew`] — a small exclusive-read/exclusive-write access checker used by
-//!   tests to demonstrate that the primitives' access patterns respect the
-//!   EREW discipline the paper assumes.
+//! * [`primitives`] — the data-parallel loops the flat engine runs (map,
+//!   segmented map, tabulate), executed with rayon above a sequential
+//!   cutoff.
 //! * [`pool`] — helpers to run a computation on a dedicated rayon pool with a
 //!   fixed thread count (used by the threads-sweep experiment) and to spawn
 //!   the serving layer's long-lived per-shard worker threads.
@@ -27,8 +24,7 @@
 //!   testing.
 //! * [`workspace`] — a reusable scratch arena ([`Workspace`]) for the
 //!   zero-reallocation run pipeline: per-purpose buffer pools threaded
-//!   through the `*_in`/`*_into` primitive variants and the `mis-core`
-//!   algorithm entry points, so a stream of solves reuses one set of
+//!   through the `mis-core` algorithm entry points, so a stream of solves reuses one set of
 //!   buffers — plus [`WorkspacePool`], the per-shard checkout/checkin layer
 //!   the facade's sharded serving subsystem is built on.
 
@@ -40,7 +36,6 @@
 #![deny(unsafe_code)]
 
 pub mod cost;
-pub mod erew;
 pub mod mmap;
 pub mod pool;
 pub mod primitives;
@@ -54,10 +49,6 @@ pub use workspace::{Workspace, WorkspacePool};
 pub mod prelude {
     pub use crate::cost::{Cost, CostTracker};
     pub use crate::pool::{available_parallelism, spawn_worker, with_threads};
-    pub use crate::primitives::{
-        exclusive_scan, exclusive_scan_into, par_compact_indices, par_compact_indices_in,
-        par_count, par_map, par_map_into, par_map_segments_into, par_max_by, par_sum_by,
-        par_tabulate,
-    };
+    pub use crate::primitives::{par_map, par_map_into, par_map_segments_into, par_tabulate};
     pub use crate::workspace::{Workspace, WorkspacePool};
 }

@@ -1,46 +1,30 @@
-//! PRAM-style parallel primitives, executed with rayon and accounted for in
-//! the work–depth model.
+//! The data-parallel loops the flat engine runs, executed with rayon.
 //!
-//! These are the building blocks the MIS algorithms are expressed with on an
-//! EREW PRAM: elementwise map, reduction, prefix sums (scan), stream
-//! compaction and maximum search. Each function takes an optional
-//! [`CostTracker`] and records the standard PRAM cost of the operation
-//! (`O(n)` work, `O(log n)` depth), so that the experiment harness can report
-//! model quantities alongside wall-clock time.
+//! Four loops: an elementwise map ([`par_map`], [`par_map_into`]), a map
+//! over disjoint mutable segments ([`par_map_segments_into`]) and an index
+//! tabulation ([`par_tabulate`]). Below [`SEQUENTIAL_CUTOFF`] each runs as a
+//! plain sequential loop. They record no costs: the algorithms in `mis_core`
+//! charge the work and depth of every step themselves.
 //!
-//! The rayon execution is the *real* parallel implementation; the cost model
-//! is bookkeeping. Results are always identical to the sequential semantics
-//! (rayon's parallel iterators guarantee this for the deterministic folds used
-//! here).
+//! Results are always identical to the sequential semantics: every loop
+//! collects its results in input order.
 
 use rayon::prelude::*;
-
-use crate::cost::{Cost, CostTracker};
-use crate::workspace::Workspace;
 
 /// Minimum slice length before the primitives bother spawning parallel tasks;
 /// below this a sequential loop is faster on every machine we tested and the
 /// result is identical.
 pub const SEQUENTIAL_CUTOFF: usize = 4096;
 
-fn track(tracker: Option<&mut CostTracker>, cost: Cost) {
-    if let Some(t) = tracker {
-        t.record(cost);
-    }
-}
-
 /// Elementwise map: `out[i] = f(&input[i])`.
-///
-/// Work `O(n)`, depth `O(log n)` (the depth charge accounts for the implicit
-/// spawn tree; the per-element function is assumed `O(1)`).
-pub fn par_map<T, U, F>(input: &[T], f: F, tracker: Option<&mut CostTracker>) -> Vec<U>
+pub fn par_map<T, U, F>(input: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync + Send,
 {
     let mut out = Vec::new();
-    par_map_into(input, f, tracker, &mut out);
+    par_map_into(input, f, &mut out);
     out
 }
 
@@ -49,13 +33,12 @@ where
 /// all once `out` has warmed up (capacity retained); above it the parallel
 /// execution materializes its result internally (inherent to the executor)
 /// and `out` adopts that buffer without an extra copy.
-pub fn par_map_into<T, U, F>(input: &[T], f: F, tracker: Option<&mut CostTracker>, out: &mut Vec<U>)
+pub fn par_map_into<T, U, F>(input: &[T], f: F, out: &mut Vec<U>)
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync + Send,
 {
-    track(tracker, Cost::parallel_step(input.len() as u64));
     out.clear();
     if input.len() < SEQUENTIAL_CUTOFF {
         out.extend(input.iter().map(f));
@@ -67,236 +50,21 @@ where
     }
 }
 
-/// Sum reduction over `u64` values produced by `f`.
-pub fn par_sum_by<T, F>(input: &[T], f: F, tracker: Option<&mut CostTracker>) -> u64
-where
-    T: Sync,
-    F: Fn(&T) -> u64 + Sync + Send,
-{
-    track(tracker, Cost::parallel_step(input.len() as u64));
-    if input.len() < SEQUENTIAL_CUTOFF {
-        input.iter().map(f).sum()
-    } else {
-        input.par_iter().map(f).sum()
-    }
-}
-
-/// Maximum reduction; returns `None` on an empty slice.
-pub fn par_max_by<T, F>(input: &[T], f: F, tracker: Option<&mut CostTracker>) -> Option<u64>
-where
-    T: Sync,
-    F: Fn(&T) -> u64 + Sync + Send,
-{
-    track(tracker, Cost::parallel_step(input.len() as u64));
-    if input.len() < SEQUENTIAL_CUTOFF {
-        input.iter().map(f).max()
-    } else {
-        input.par_iter().map(f).max()
-    }
-}
-
-/// Counts the elements satisfying a predicate.
-pub fn par_count<T, F>(input: &[T], pred: F, tracker: Option<&mut CostTracker>) -> usize
-where
-    T: Sync,
-    F: Fn(&T) -> bool + Sync + Send,
-{
-    track(tracker, Cost::parallel_step(input.len() as u64));
-    if input.len() < SEQUENTIAL_CUTOFF {
-        input.iter().filter(|x| pred(x)).count()
-    } else {
-        input.par_iter().filter(|x| pred(x)).count()
-    }
-}
-
-/// Exclusive prefix sum (scan): `out[i] = Σ_{k<i} input[k]`, and the total sum
-/// is returned alongside.
-///
-/// Implemented as the classic two-pass blocked scan: per-block sums, a scan of
-/// the block sums, then a per-block rescan with offsets. Work `O(n)`, depth
-/// `O(log n)`; this is the textbook EREW scan.
-pub fn exclusive_scan(input: &[u64], tracker: Option<&mut CostTracker>) -> (Vec<u64>, u64) {
-    let mut out = Vec::new();
-    let total = exclusive_scan_into(input, tracker, &mut out);
-    (out, total)
-}
-
-/// Allocation-reusing variant of [`exclusive_scan`]: the prefix sums replace
-/// the contents of `out` (capacity retained) and the total is returned.
-pub fn exclusive_scan_into(
-    input: &[u64],
-    tracker: Option<&mut CostTracker>,
-    out: &mut Vec<u64>,
-) -> u64 {
-    let n = input.len();
-    track(
-        tracker,
-        Cost::parallel_step(n as u64).then(Cost::parallel_step(n as u64)),
-    );
-    out.clear();
-    if n < SEQUENTIAL_CUTOFF {
-        out.reserve(n);
-        let mut acc = 0u64;
-        for &x in input {
-            out.push(acc);
-            acc += x;
-        }
-        return acc;
-    }
-    let block = 8192usize;
-    let n_blocks = n.div_ceil(block);
-    // Pass 1: per-block totals.
-    let block_sums: Vec<u64> = (0..n_blocks)
-        .into_par_iter()
-        .map(|b| {
-            let lo = b * block;
-            let hi = (lo + block).min(n);
-            input[lo..hi].iter().sum()
-        })
-        .collect();
-    // Scan the block totals sequentially (n_blocks is tiny).
-    let mut block_offsets = Vec::with_capacity(n_blocks);
-    let mut acc = 0u64;
-    for &s in &block_sums {
-        block_offsets.push(acc);
-        acc += s;
-    }
-    let total = acc;
-    // Pass 2: rescan each block with its offset.
-    out.resize(n, 0);
-    out.par_chunks_mut(block)
-        .enumerate()
-        .for_each(|(b, chunk)| {
-            let lo = b * block;
-            let mut acc = block_offsets[b];
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                *slot = acc;
-                acc += input[lo + i];
-            }
-        });
-    total
-}
-
-/// Stream compaction: returns the (stable) indices of the elements satisfying
-/// `pred`. This is the PRAM "processor allocation" primitive: a flag vector, a
-/// scan, and a scatter.
-pub fn par_compact_indices<T, F>(
-    input: &[T],
-    pred: F,
-    tracker: Option<&mut CostTracker>,
-) -> Vec<usize>
-where
-    T: Sync,
-    F: Fn(&T) -> bool + Sync + Send,
-{
-    let mut ws = Workspace::new();
-    let mut out = Vec::new();
-    par_compact_indices_in(input, pred, tracker, &mut ws, &mut out);
-    out
-}
-
-/// Allocation-reusing variant of [`par_compact_indices`]: the flag and scan
-/// intermediates come from (and return to) `ws`, and the surviving indices
-/// replace the contents of `out`. A warmed-up workspace makes the whole
-/// flag–scan–scatter pipeline allocation-free below the sequential cutoff.
-///
-/// Note: the flat `ActiveHypergraph` engine compacts its live-edge frontier
-/// in place (`Vec::retain`) and no longer routes through this primitive; it
-/// is kept as the workspace-backed building block for PRAM-style callers
-/// (benches, property tests, future engines) rather than a current hot path.
-pub fn par_compact_indices_in<T, F>(
-    input: &[T],
-    pred: F,
-    mut tracker: Option<&mut CostTracker>,
-    ws: &mut Workspace,
-    out: &mut Vec<usize>,
-) where
-    T: Sync,
-    F: Fn(&T) -> bool + Sync + Send,
-{
-    let mut flags = ws.take_u64("pram.compact.flags");
-    let mut offsets = ws.take_u64("pram.compact.offsets");
-    par_map_into(
-        input,
-        |x| if pred(x) { 1 } else { 0 },
-        tracker.as_deref_mut(),
-        &mut flags,
-    );
-    let total = exclusive_scan_into(&flags, tracker.as_deref_mut(), &mut offsets);
-    track(tracker, Cost::parallel_step(input.len() as u64));
-    out.clear();
-    if input.len() < SEQUENTIAL_CUTOFF {
-        out.resize(total as usize, 0);
-        for (i, &f) in flags.iter().enumerate() {
-            if f == 1 {
-                out[offsets[i] as usize] = i;
-            }
-        }
-    } else {
-        // Scatter by chunk: each chunk produces its survivors in order and the
-        // chunk results are concatenated in chunk order, which preserves
-        // stability. Each output slot is written exactly once (the EREW
-        // guarantee the scan provides).
-        let chunk = 8192usize;
-        let pieces: Vec<Vec<usize>> = flags
-            .par_chunks(chunk)
-            .enumerate()
-            .map(|(b, fl)| {
-                let lo = b * chunk;
-                fl.iter()
-                    .enumerate()
-                    .filter(|(_, &f)| f == 1)
-                    .map(|(i, _)| lo + i)
-                    .collect()
-            })
-            .collect();
-        out.reserve(total as usize);
-        for p in pieces {
-            out.extend(p);
-        }
-    }
-    ws.put_u64("pram.compact.flags", flags);
-    ws.put_u64("pram.compact.offsets", offsets);
-}
-
 /// Applies `f` to every element of a jagged collection of *disjoint* mutable
-/// segments (e.g. the per-edge vertex runs of a CSR layout) in parallel,
-/// collecting one result per segment, in segment order.
+/// segments (e.g. the per-edge vertex runs of a CSR layout) in parallel; the
+/// per-segment results replace the contents of `out` (capacity retained), in
+/// segment order.
 ///
-/// This is the PRAM "segmented update" primitive the flat
-/// `ActiveHypergraph` engine uses for edge trimming: each segment is a small
-/// sequential loop, segments are independent, and the total work is the sum of
-/// the segment lengths. Work `O(Σ|s|)`, depth `O(log Σ|s|)` (per-segment work
-/// is assumed `O(|s|)` with segments far shorter than the total).
-pub fn par_map_segments<T, R, F>(
-    segments: Vec<&mut [T]>,
-    f: F,
-    tracker: Option<&mut CostTracker>,
-) -> Vec<R>
+/// This is the PRAM "segmented update" the flat `ActiveHypergraph` engine
+/// uses for edge trimming: each segment is a small sequential loop, segments
+/// are independent, and the total work is the sum of the segment lengths.
+pub fn par_map_segments_into<T, R, F>(segments: Vec<&mut [T]>, f: F, out: &mut Vec<R>)
 where
-    T: Send,
-    R: Send,
-    F: Fn(&mut [T]) -> R + Sync + Send,
-{
-    let mut out = Vec::new();
-    par_map_segments_into(segments, f, tracker, &mut out);
-    out
-}
-
-/// Allocation-reusing variant of [`par_map_segments`]: per-segment results
-/// replace the contents of `out`, retaining its capacity.
-pub fn par_map_segments_into<T, R, F>(
-    segments: Vec<&mut [T]>,
-    f: F,
-    tracker: Option<&mut CostTracker>,
-    out: &mut Vec<R>,
-) where
     T: Send,
     R: Send,
     F: Fn(&mut [T]) -> R + Sync + Send,
 {
     let total: usize = segments.iter().map(|s| s.len()).sum();
-    track(tracker, Cost::parallel_step(total as u64));
     out.clear();
     if total < SEQUENTIAL_CUTOFF {
         out.extend(segments.into_iter().map(f));
@@ -309,12 +77,11 @@ pub fn par_map_segments_into<T, R, F>(
 /// Applies `f` to every index in `0..n` in parallel and collects the results.
 /// Convenience wrapper used by the algorithms for per-vertex and per-edge
 /// steps.
-pub fn par_tabulate<U, F>(n: usize, f: F, tracker: Option<&mut CostTracker>) -> Vec<U>
+pub fn par_tabulate<U, F>(n: usize, f: F) -> Vec<U>
 where
     U: Send,
     F: Fn(usize) -> U + Sync + Send,
 {
-    track(tracker, Cost::parallel_step(n as u64));
     if n < SEQUENTIAL_CUTOFF {
         (0..n).map(f).collect()
     } else {
@@ -329,42 +96,25 @@ mod tests {
     #[test]
     fn map_matches_sequential() {
         let v: Vec<u64> = (0..10_000).collect();
-        let out = par_map(&v, |x| x * 2, None);
+        let out = par_map(&v, |x| x * 2);
         assert_eq!(out.len(), v.len());
         assert!(out.iter().enumerate().all(|(i, &x)| x == 2 * i as u64));
     }
 
     #[test]
-    fn sum_and_max_and_count() {
-        let v: Vec<u64> = (1..=10_000).collect();
-        assert_eq!(par_sum_by(&v, |&x| x, None), 10_000 * 10_001 / 2);
-        assert_eq!(par_max_by(&v, |&x| x, None), Some(10_000));
-        assert_eq!(par_max_by::<u64, _>(&[], |&x| x, None), None);
-        assert_eq!(par_count(&v, |&x| x % 2 == 0, None), 5_000);
-    }
-
-    #[test]
-    fn scan_small_and_large() {
-        for n in [0usize, 1, 5, 100, 50_000] {
-            let v: Vec<u64> = (0..n as u64).map(|x| x % 7).collect();
-            let (scan, total) = exclusive_scan(&v, None);
-            assert_eq!(scan.len(), n);
-            let mut acc = 0u64;
-            for i in 0..n {
-                assert_eq!(scan[i], acc, "mismatch at {i} for n={n}");
-                acc += v[i];
-            }
-            assert_eq!(total, acc);
-        }
-    }
-
-    #[test]
-    fn compact_matches_filter() {
-        for n in [0usize, 10, 1000, 30_000] {
+    fn map_into_matches_and_keeps_capacity() {
+        for n in [100usize, 10_000] {
             let v: Vec<u64> = (0..n as u64).collect();
-            let idx = par_compact_indices(&v, |&x| x % 3 == 0, None);
-            let expected: Vec<usize> = (0..n).filter(|i| i % 3 == 0).collect();
-            assert_eq!(idx, expected, "n={n}");
+            let mut out = Vec::with_capacity(2 * n);
+            par_map_into(&v, |&x| x + 1, &mut out);
+            assert_eq!(out, par_map(&v, |&x| x + 1), "n={n}");
+            // Below the cutoff the warm buffer is reused, not replaced.
+            let capacity = out.capacity();
+            par_map_into(&v, |&x| x + 2, &mut out);
+            assert_eq!(out, par_map(&v, |&x| x + 2), "n={n}");
+            if n < SEQUENTIAL_CUTOFF {
+                assert_eq!(out.capacity(), capacity, "n={n}");
+            }
         }
     }
 
@@ -379,7 +129,8 @@ mod tests {
                 segments.push(seg);
                 rest = tail;
             }
-            let lens = par_map_segments(
+            let mut lens = Vec::new();
+            par_map_segments_into(
                 segments,
                 |seg| {
                     for (i, slot) in seg.iter_mut().enumerate() {
@@ -387,7 +138,7 @@ mod tests {
                     }
                     seg.len()
                 },
-                None,
+                &mut lens,
             );
             assert_eq!(lens, vec![seg_len; n_segments]);
             for (i, &x) in data.iter().enumerate() {
@@ -398,31 +149,9 @@ mod tests {
 
     #[test]
     fn tabulate() {
-        let out = par_tabulate(10_000, |i| i as u64 * i as u64, None);
+        let out = par_tabulate(10_000, |i| i as u64 * i as u64);
         assert_eq!(out[77], 77 * 77);
         assert_eq!(out.len(), 10_000);
-    }
-
-    #[test]
-    fn into_variants_match_and_stop_allocating_when_warm() {
-        let mut ws = Workspace::new();
-        let v: Vec<u64> = (0..10_000).collect();
-        let mut mapped = Vec::new();
-        let mut scan = Vec::new();
-        let mut idx = Vec::new();
-        // Warm-up pass.
-        par_map_into(&v, |&x| x + 1, None, &mut mapped);
-        let total = exclusive_scan_into(&v, None, &mut scan);
-        par_compact_indices_in(&v, |&x| x % 3 == 0, None, &mut ws, &mut idx);
-        assert_eq!(mapped, par_map(&v, |&x| x + 1, None));
-        assert_eq!((scan.clone(), total), exclusive_scan(&v, None));
-        assert_eq!(idx, par_compact_indices(&v, |&x| x % 3 == 0, None));
-        // Warmed pass: the workspace serves the compact intermediates with
-        // zero fresh allocations.
-        let before = ws.fresh_allocations();
-        par_compact_indices_in(&v, |&x| x % 3 == 0, None, &mut ws, &mut idx);
-        assert_eq!(ws.fresh_allocations(), before);
-        assert_eq!(idx, par_compact_indices(&v, |&x| x % 3 == 0, None));
     }
 
     #[test]
@@ -436,21 +165,9 @@ mod tests {
                 seg.iter_mut().for_each(|s| *s = 2);
                 seg.len() as u32
             },
-            None,
             &mut out,
         );
         assert_eq!(out, vec![5, 7]);
         assert!(data.iter().all(|&x| x == 2));
-    }
-
-    #[test]
-    fn costs_are_recorded() {
-        let mut t = CostTracker::new();
-        let v: Vec<u64> = (0..512).collect();
-        let _ = par_map(&v, |x| x + 1, Some(&mut t));
-        let (_, _) = exclusive_scan(&v, Some(&mut t));
-        assert!(t.cost().work >= 512 * 3); // map + two scan passes
-        assert!(t.cost().depth >= 3);
-        assert!(t.cost().processors() >= 1);
     }
 }

@@ -4,8 +4,9 @@
 //! depth, rounds), run after run — including when the PRAM primitives execute
 //! on multi-threaded rayon pools, and across different pool sizes.
 //!
-//! This is the foundation every experiment in EXPERIMENTS.md rests on: if a
-//! seeded run is not bit-stable, no reported table is trustworthy.
+//! This is the foundation every experiment and every gated bench artifact of
+//! the `experiments` harness rests on: if a seeded run is not bit-stable, no
+//! reported table is trustworthy.
 
 use hypergraph_mis::hypergraph::Hypergraph;
 use hypergraph_mis::prelude::*;
