@@ -382,18 +382,6 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("bad number {text:?} at byte {start}"))
 }
 
-/// FNV-1a over a byte string — the stable 64-bit hash behind the
-/// `outcome_fingerprint` fields the artifacts carry (platform- and
-/// run-independent for deterministic inputs, unlike `DefaultHasher`).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// The outcome of one [`check_against`] comparison.
 #[derive(Debug)]
 pub struct CheckReport {
@@ -958,14 +946,5 @@ mod tests {
             let report = check_against(&text, &text, 0.0).unwrap();
             prop_assert!(report.passed(), "{:?}", report.failures);
         }
-    }
-
-    #[test]
-    fn fnv1a_is_stable() {
-        // Pinned values: the fingerprint fields in committed baselines
-        // depend on this hash never changing.
-        assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
-        assert_ne!(fnv1a(b"ab"), fnv1a(b"ba"));
     }
 }

@@ -271,7 +271,7 @@ fn run_bench_regression_gate(dir: &str, tolerance: f64, want: &impl Fn(&str) -> 
 fn serve_experiment(quick: bool) -> Json {
     use hypergraph_mis::serve::{
         AdmissionConfig, Algorithm, EpochPin, ResidentRegistry, RetentionPolicy, RoutePolicy,
-        ServeConfig, ShardedRunner, SolveError, SolveRequest, TenantId, TenantQuota,
+        ServeConfig, ShardedRunner, SolveError, SolveRequest, TenantId, TenantQuota, TenantStats,
     };
     use std::sync::Arc;
 
@@ -416,7 +416,6 @@ fn serve_experiment(quick: bool) -> Json {
         .iter()
         .map(|r| seq_runner.solve(&mix_registry, r).fingerprint())
         .collect();
-    let per_tenant_delivered = mix_total as u64 / mix_tenants;
     let mut mix_identical = true;
     let mut policy_entries = Vec::new();
     for policy in [
@@ -429,7 +428,7 @@ fn serve_experiment(quick: bool) -> Json {
             ..serve_config(4)
         };
         let mut best = f64::INFINITY;
-        let mut rewarms: Vec<(u64, u64, u64)> = Vec::new();
+        let mut tenants = Vec::new();
         for it in 0..iters {
             let mut runner = ShardedRunner::new(Arc::clone(&mix_registry), &config);
             let t0 = Instant::now();
@@ -455,40 +454,43 @@ fn serve_experiment(quick: bool) -> Json {
                 );
                 mix_identical &= identical;
             }
-            // One generation's rewarm split (deterministic for RR and TA): a
-            // tenant warms each shard it is routed to once.
-            rewarms = runner
-                .stats()
-                .per_tenant
-                .iter()
-                .map(|t| {
-                    let misses = t.shards.len() as u64;
-                    (t.tenant.0, t.admitted - misses, misses)
-                })
-                .collect();
+            // One generation's per-tenant counts, as the runner kept them
+            // (deterministic for RR and TA).
+            tenants = runner.stats().per_tenant;
+            for t in &tenants {
+                assert_eq!(
+                    t.delivered,
+                    t.admitted,
+                    "serve tenant_mix: {} left tenant {} requests undelivered",
+                    policy.name(),
+                    t.tenant.0
+                );
+            }
         }
         // LeastQueued placement is scheduling-dependent, so its rewarm split
         // is telemetry we deliberately keep out of the committed artifact.
         policy_entries.push(if policy == RoutePolicy::LeastQueued {
             obj! { "policy" => policy.name(), "ms" => ms(best) }
         } else {
-            let per_tenant: Vec<Json> = rewarms
+            // A tenant warms each shard it is routed to once.
+            let misses = |t: &TenantStats| t.shards.len() as u64;
+            let per_tenant: Vec<Json> = tenants
                 .iter()
-                .map(|&(tenant, hits, misses)| {
+                .map(|t| {
                     obj! {
-                        "tenant" => tenant,
-                        "delivered" => per_tenant_delivered,
-                        "throughput_per_s" => per_s(per_tenant_delivered as f64 / (best / 1e3)),
-                        "rewarm_hits" => hits,
-                        "rewarm_misses" => misses,
+                        "tenant" => t.tenant.0,
+                        "delivered" => t.delivered,
+                        "throughput_per_s" => per_s(t.delivered as f64 / (best / 1e3)),
+                        "rewarm_hits" => t.admitted - misses(t),
+                        "rewarm_misses" => misses(t),
                     }
                 })
                 .collect();
             obj! {
                 "policy" => policy.name(),
                 "ms" => ms(best),
-                "rewarm_hits" => rewarms.iter().map(|e| e.1).sum::<u64>(),
-                "rewarm_misses" => rewarms.iter().map(|e| e.2).sum::<u64>(),
+                "rewarm_hits" => tenants.iter().map(|t| t.admitted - misses(t)).sum::<u64>(),
+                "rewarm_misses" => tenants.iter().map(misses).sum::<u64>(),
                 "per_tenant" => per_tenant,
             }
         });
@@ -914,7 +916,7 @@ fn serve_experiment(quick: bool) -> Json {
         "experiment" => "serve_sharded_runner",
         "baseline" => "sequential BatchRunner::solve over the request stream (single-shard \
                        amortized path: one workspace, no threads, no queues)",
-        "candidate" => "ShardedRunner (N worker shards, per-shard WorkspacePool affinity, \
+        "candidate" => "ShardedRunner (N worker shards, each owning its Workspace, \
                         tenant routing + admission, bounded queues, ordered/streaming \
                         collection)",
         "iters" => iters,
@@ -1317,7 +1319,7 @@ fn net_experiment(quick: bool) -> Json {
 /// the bench-regression gate compares across runs and hosts. One chain for
 /// every artifact, so the scheme can never silently diverge between them.
 fn fingerprint_hex<T: std::fmt::Debug>(items: &[T]) -> String {
-    use bench::baseline::fnv1a;
+    use hypergraph::io::fnv1a;
     let mut acc = 0u64;
     for item in items {
         let h = fnv1a(format!("{item:?}").as_bytes());
@@ -1747,7 +1749,7 @@ fn activeset_engine_guard(quick: bool) -> Json {
 
         let rounds = flat_cost.rounds().max(1);
         largest = Some((n, best_ref / best_flat));
-        let set_fingerprint = bench::baseline::fnv1a(format!("{flat_set:?}").as_bytes());
+        let set_fingerprint = hypergraph::io::fnv1a(format!("{flat_set:?}").as_bytes());
         entries.push(obj! {
             "n" => n,
             "m" => h.n_edges(),

@@ -411,11 +411,15 @@ pub const WAL_VERSION: u32 = 1;
 
 const WAL_MAGIC: &str = "HGWAL";
 
-/// FNV-1a over the payload bytes — the per-record checksum of the WAL
-/// format. Not cryptographic: it detects torn tails and bit rot, which is
-/// the threat model for a local WAL (a hostile writer can forge whatever it
-/// likes anyway, including the graph itself).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// The FNV-1a 64-bit hash of a byte slice (offset basis
+/// `0xcbf29ce484222325`, prime `0x100000001b3`): the per-record checksum of
+/// the WAL format and the header checksum of HGCSR, and the facade reuses it
+/// for its `MISP` frame checksums and the bench for its outcome
+/// fingerprints. Not cryptographic: it detects torn tails and bit rot, which
+/// is the threat model for a local WAL (a hostile writer can forge whatever
+/// it likes anyway, including the graph itself). Every format that stores it
+/// depends on its values never changing.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         hash ^= b as u64;
@@ -994,6 +998,16 @@ pub fn open_mapped<P: AsRef<Path>>(path: P) -> Result<Hypergraph, ReadError> {
 mod tests {
     use super::*;
     use crate::builder::hypergraph_from_edges;
+
+    #[test]
+    fn fnv1a_is_stable() {
+        // Pinned values: WAL and HGCSR checksums, `MISP` frame checksums
+        // and the bench's committed fingerprints depend on this hash never
+        // changing.
+        assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
+        assert_ne!(fnv1a(b"ab"), fnv1a(b"ba"));
+    }
 
     #[test]
     fn round_trip() {

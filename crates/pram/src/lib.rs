@@ -23,10 +23,10 @@
 //!   scalar fallbacks and a `force-scalar` escape hatch for differential
 //!   testing.
 //! * [`workspace`] — a reusable scratch arena ([`Workspace`]) for the
-//!   zero-reallocation run pipeline: per-purpose buffer pools threaded
-//!   through the `mis-core` algorithm entry points, so a stream of solves reuses one set of
-//!   buffers — plus [`WorkspacePool`], the per-shard checkout/checkin layer
-//!   the facade's sharded serving subsystem is built on.
+//!   zero-reallocation run pipeline: per-purpose flag and `u32` buffers and
+//!   typed engine slots threaded through the `mis-core` algorithm entry
+//!   points, so a stream of solves reuses one set of buffers. Each shard of
+//!   the facade's sharded serving subsystem owns one.
 
 #![warn(missing_docs)]
 // `deny` rather than `forbid`: the `simd` module opts back in locally for
@@ -43,12 +43,12 @@ pub mod simd;
 pub mod workspace;
 
 pub use cost::{Cost, CostTracker};
-pub use workspace::{Workspace, WorkspacePool};
+pub use workspace::Workspace;
 
 /// Commonly used items.
 pub mod prelude {
     pub use crate::cost::{Cost, CostTracker};
     pub use crate::pool::{available_parallelism, spawn_worker, with_threads};
     pub use crate::primitives::{par_map, par_map_into, par_map_segments_into, par_tabulate};
-    pub use crate::workspace::{Workspace, WorkspacePool};
+    pub use crate::workspace::Workspace;
 }

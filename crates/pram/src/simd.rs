@@ -29,10 +29,9 @@
 //! The widest supported backend is chosen once per process ([`detected`]):
 //! AVX2 is runtime-detected, SSE2 is the `x86_64` baseline, every other
 //! target falls back to the scalar loops. The `force-scalar` cargo feature
-//! or `MIS_SIMD=scalar` in the environment pins the scalar path
-//! process-wide; [`with_capability`] overrides the choice on the current
-//! thread only, which is what the scalar-vs-SIMD parity tests use to
-//! compare paths *within* one process.
+//! pins the scalar path for the whole build; [`with_capability`] overrides
+//! the choice on the current thread only, which is what the scalar-vs-SIMD
+//! parity tests use to compare paths *within* one process.
 //!
 //! `unsafe` is confined to this module (the crate stays `deny(unsafe_code)`
 //! elsewhere): every `unsafe` block is a call into a `#[target_feature]`
@@ -76,14 +75,9 @@ impl Capability {
     }
 }
 
-/// True when the scalar path is pinned by the `force-scalar` cargo feature
-/// or by `MIS_SIMD=scalar` in the environment (read once per process).
+/// True when the `force-scalar` cargo feature pins the scalar path.
 pub fn forced_scalar() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        cfg!(feature = "force-scalar")
-            || std::env::var_os("MIS_SIMD").is_some_and(|v| v == "scalar")
-    })
+    cfg!(feature = "force-scalar")
 }
 
 #[cfg(target_arch = "x86_64")]

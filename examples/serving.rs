@@ -299,11 +299,14 @@ fn main() {
     // fingerprint legitimately differs from ticket 0's.
     assert_ne!(collected[24].fingerprint(), collected[0].fingerprint());
 
-    let pool = server.shutdown();
+    let workspaces = server.shutdown();
     println!(
-        "shutdown: {} workspaces parked, {} fresh allocations across the session",
-        pool.parked(),
-        pool.fresh_allocations()
+        "shutdown: {} shard workspaces handed back, {} fresh allocations across the session",
+        workspaces.len(),
+        workspaces
+            .iter()
+            .map(Workspace::fresh_allocations)
+            .sum::<u64>()
     );
 
     // --- The durability lifecycle: persist → compact → restore. The edit
@@ -319,11 +322,11 @@ fn main() {
         registry.retained_snapshots(jobs),
     );
 
-    // A second serve generation over the same warmed pool: a pin below the
+    // A second serve generation over the same warmed workspaces: a pin below the
     // compaction floor comes back as an `EpochEvicted` *outcome* — the epoch
     // was real history, which distinguishes it from `UnknownEpoch` ("never
     // reached").
-    let mut server = ShardedRunner::with_pool(Arc::clone(&registry), &config, pool);
+    let mut server = ShardedRunner::with_workspaces(Arc::clone(&registry), &config, workspaces);
     server.submit(
         SolveRequest::for_graph(jobs)
             .algorithm(Algorithm::Sbl(SblConfig::default()))

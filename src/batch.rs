@@ -38,11 +38,11 @@
 //!
 //! A `BatchRunner` is the **single-shard special case** of the sharded
 //! serving subsystem: every worker shard of a
-//! [`ShardedRunner`](crate::serve::ShardedRunner) is exactly a `BatchRunner`
-//! looping over its queue, and [`solve`](BatchRunner::solve) is the request
-//! execution core both paths share. Run a stream through `BatchRunner::solve`
-//! to get the sequential reference the serve suites and benches compare
-//! against.
+//! [`ShardedRunner`](crate::serve::ShardedRunner) owns one [`Workspace`] and
+//! runs each request it dequeues through the execution core that
+//! [`solve`](BatchRunner::solve) runs, against that workspace. Run a stream
+//! through `BatchRunner::solve` to get the sequential reference the serve
+//! suites and benches compare against.
 
 use crate::serve::{ResidentRegistry, SolveOutcome, SolveRequest};
 use hypergraph::Hypergraph;
@@ -65,19 +65,6 @@ impl BatchRunner {
     /// algorithm warms it up.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Wraps an existing workspace — e.g. one checked out of a
-    /// [`pram::WorkspacePool`] by a serve shard, so buffers and engines
-    /// warmed by a previous generation are reused.
-    pub fn from_workspace(ws: Workspace) -> Self {
-        Self { ws }
-    }
-
-    /// Unwraps the runner back into its workspace (for checkin into a
-    /// [`pram::WorkspacePool`]).
-    pub fn into_workspace(self) -> Workspace {
-        self.ws
     }
 
     /// Executes one serving-layer request — the single-shard solve core of

@@ -78,8 +78,8 @@
 //! The crate remains a thin facade over the workspace members:
 //!
 //! * [`hypergraph`] — data structures, normalized degrees, generators, I/O;
-//! * [`pram`] — work–depth cost model, rayon-backed parallel primitives,
-//!   workspaces and the per-shard [`WorkspacePool`](pram::WorkspacePool);
+//! * [`pram`] — work–depth cost model, rayon-backed parallel primitives
+//!   and the scratch [`Workspace`](pram::Workspace) each shard owns;
 //! * [`concentration`] — the analysis quantities of Sections 2.2, 3 and 4;
 //! * [`mis_core`] — the algorithms (SBL, BL, KUW, greedy, permutation,
 //!   linear-hypergraph), verification and instrumentation.

@@ -7,6 +7,7 @@
 //! lying headers must land in a structured [`FrameError`] — never a panic,
 //! never an over-allocation driven by attacker-controlled lengths.
 
+use hypergraph::io::fnv1a;
 use std::io::Read;
 
 /// The four magic bytes every frame starts with: `"MISP"`.
@@ -28,18 +29,6 @@ pub const HEADER_LEN: usize = 20;
 /// are rejected as [`FrameError::Oversize`] *before* any allocation — a
 /// lying length field cannot make a peer reserve memory.
 pub const DEFAULT_MAX_PAYLOAD: u32 = 1 << 26;
-
-/// The FNV-1a 64-bit hash of a byte slice — the per-frame checksum (offset
-/// basis `0xcbf29ce484222325`, prime `0x100000001b3`; the same function the
-/// HGCSR snapshot format uses).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// What a frame carries, from the header's kind byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -8,20 +8,21 @@
 //! ```text
 //!          admission (token bucket + in-flight caps, per tenant)
 //!                    │ admitted            route (RoundRobin / TenantAffinity / LeastQueued)
-//! client (tickets) ──┤          submit() ──► bounded queue ──► shard 0: BatchRunner(Workspace 0)─┐ collect_ordered()
-//!                    │          submit() ──► bounded queue ──► shard 1: BatchRunner(Workspace 1)─┼─►      or
-//!                    │ denied   submit() ──► bounded queue ──► shard 2: BatchRunner(Workspace 2)─┘ collect_streaming()
-//!                    ▼                                ▲                        │ read-only
-//!            AdmissionDenied outcome                  │                 Arc<ResidentRegistry>
+//! client (tickets) ──┤          submit() ──► bounded queue ──► shard 0 (owns Workspace 0)─┐ collect_ordered()
+//!                    │          submit() ──► bounded queue ──► shard 1 (owns Workspace 1)─┼─►      or
+//!                    │ denied   submit() ──► bounded queue ──► shard 2 (owns Workspace 2)─┘ collect_streaming()
+//!                    ▼                                ▲                     │ read-only
+//!            AdmissionDenied outcome                  │              Arc<ResidentRegistry>
 //! ```
 //!
 //! A [`ShardedRunner`] owns N long-lived worker threads (hosted by
-//! [`pram::pool::spawn_worker`]). Each worker is exactly a
-//! [`BatchRunner`] in a loop — the single-shard
-//! special case *is* the batch runner — with its own
-//! [`Workspace`] checked out of a
-//! [`WorkspacePool`] by shard index, so parked engines
-//! and warmed buffers stay **shard-local** across serve generations.
+//! [`pram::pool::spawn_worker`]). Each worker owns one [`Workspace`] and
+//! runs every request it dequeues through the execution core of
+//! [`BatchRunner::solve`](crate::batch::BatchRunner::solve) — the
+//! single-shard special case *is* the batch runner.
+//! [`ShardedRunner::shutdown`] hands the workspaces back in shard order and
+//! [`ShardedRunner::with_workspaces`] gives shard `i` the `i`-th, so parked
+//! engines and warmed buffers stay **shard-local** across serve generations.
 //! Admitted requests are distributed over per-shard **bounded** queues by the
 //! configured [`RoutePolicy`]: [`ShardedRunner::submit`] blocks once the
 //! target shard's queue is full (backpressure), while results flow back over
@@ -248,7 +249,6 @@
 //! assert!(stats.per_tenant.iter().all(|t| t.denied() == 0));
 //! ```
 
-use crate::batch::BatchRunner;
 use hypergraph::degree::MAX_ENUMERABLE_DIMENSION;
 use hypergraph::edit::{apply_edits, EditError, EditLog, GraphEdit};
 use hypergraph::io::{ParseError, ReadError};
@@ -256,7 +256,7 @@ use hypergraph::{ActiveHypergraph, Hypergraph, VertexId};
 use mis_core::linear::LinearError;
 use mis_core::prelude::*;
 use pram::cost::CostTracker;
-use pram::{Workspace, WorkspacePool};
+use pram::Workspace;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -289,8 +289,8 @@ pub enum RoutePolicy {
     RoundRobin,
     /// A stable, platform-independent hash of the [`TenantId`] picks the
     /// tenant's home shard: all of a tenant's requests land on one shard, so
-    /// its queries rewarm the same shard-local parked engines in the
-    /// [`WorkspacePool`]. Deterministic for a fixed stream.
+    /// its queries rewarm the same parked engines in that shard's
+    /// [`Workspace`]. Deterministic for a fixed stream.
     TenantAffinity,
     /// Each request goes to the shard with the fewest requests currently
     /// queued or executing (ties break to the lowest shard index). Placement
@@ -1761,7 +1761,7 @@ pub struct SolveOutcome {
 }
 
 /// The deterministic part of a [`SolveOutcome`] (everything but the shard
-/// and ticket): equal across shard counts, scheduling and pool generations.
+/// and ticket): equal across shard counts, scheduling and runner generations.
 pub type SolveFingerprint = (
     u64,
     Option<Epoch>,
@@ -1833,9 +1833,7 @@ pub(crate) fn execute_resolved(
                 &mut rng,
                 ws,
             );
-            if out.error.is_none() {
-                out.epoch = Some(snap.epoch());
-            }
+            out.epoch = Some(snap.epoch());
             out
         }
         (_, Some(Err(e))) => failed(req.seed, e),
@@ -2215,16 +2213,20 @@ struct TenantState {
 /// contract.
 ///
 /// Dropping the runner shuts the workers down; prefer
-/// [`shutdown`](Self::shutdown) to get the [`WorkspacePool`] (with every
-/// shard's warmed workspace checked back in) for the next serve generation.
+/// [`shutdown`](Self::shutdown) to get every shard's warmed [`Workspace`]
+/// back for the next serve generation
+/// ([`with_workspaces`](Self::with_workspaces)).
 pub struct ShardedRunner {
     // Held for submission-time snapshot resolution only — workers never
     // touch the registry; each job carries its resolved snapshot `Arc`.
     registry: Arc<ResidentRegistry>,
     senders: Vec<SyncSender<Job>>,
     results: Receiver<SolveOutcome>,
-    workers: Vec<(usize, JoinHandle<Workspace>)>,
-    pool: WorkspacePool,
+    // Indexed by shard; each worker returns its workspace when it ends.
+    workers: Vec<JoinHandle<Workspace>>,
+    // The workspaces handed back by `shutdown`: those beyond the shard
+    // count until the workers are joined, then every shard's in front.
+    workspaces: Vec<Workspace>,
     // Raised at shutdown so workers drain their remaining queue without
     // solving it (still-queued work is discarded, not computed).
     cancel: Arc<std::sync::atomic::AtomicBool>,
@@ -2240,21 +2242,27 @@ pub struct ShardedRunner {
 }
 
 impl ShardedRunner {
-    /// Spawns `config.shards` workers over a fresh [`WorkspacePool`].
+    /// Spawns `config.shards` workers, each with a fresh [`Workspace`].
     pub fn new(registry: Arc<ResidentRegistry>, config: &ServeConfig) -> Self {
-        Self::with_pool(registry, config, WorkspacePool::new(config.shards.max(1)))
+        Self::with_workspaces(registry, config, Vec::new())
     }
 
-    /// Spawns workers over an existing pool (grown to `config.shards` slots
-    /// if needed), so workspaces warmed by a previous serve generation are
-    /// rewarmed shard-by-shard instead of rebuilt.
-    pub fn with_pool(
+    /// Spawns `config.shards` workers and gives shard `i` the `i`-th of
+    /// `workspaces` (as a previous generation's [`shutdown`](Self::shutdown)
+    /// returned them), so its warmed buffers and engines are rewarmed
+    /// shard by shard instead of rebuilt. Shards beyond the list get fresh
+    /// workspaces; workspaces beyond the shard count stay untouched and
+    /// come back from `shutdown` after the shards' own.
+    pub fn with_workspaces(
         registry: Arc<ResidentRegistry>,
         config: &ServeConfig,
-        mut pool: WorkspacePool,
+        mut workspaces: Vec<Workspace>,
     ) -> Self {
         let shards = config.shards.max(1);
-        pool.ensure_shards(shards);
+        if workspaces.len() < shards {
+            workspaces.resize_with(shards, Workspace::new);
+        }
+        let spare = workspaces.split_off(shards);
         let (result_tx, results) = channel();
         let cancel = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let accounting = Arc::new(Mutex::new(Accounting {
@@ -2265,9 +2273,8 @@ impl ShardedRunner {
         }));
         let mut senders = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
-        for shard in 0..shards {
+        for (shard, mut ws) in workspaces.into_iter().enumerate() {
             let (tx, rx) = sync_channel::<Job>(config.queue_depth.max(1));
-            let ws = pool.checkout(shard);
             let result_tx = result_tx.clone();
             let cancel = Arc::clone(&cancel);
             let accounting = Arc::clone(&accounting);
@@ -2275,7 +2282,6 @@ impl ShardedRunner {
                 format!("serve-shard-{shard}"),
                 config.threads_per_shard,
                 move || {
-                    let mut runner = BatchRunner::from_workspace(ws);
                     while let Ok(Job {
                         ticket,
                         request,
@@ -2291,7 +2297,7 @@ impl ShardedRunner {
                         // (or error) was fixed at submission time, so a
                         // concurrent apply/compact/eviction cannot retarget
                         // a queued request.
-                        let mut out = execute_resolved(&request, resolved, runner.workspace_mut());
+                        let mut out = execute_resolved(&request, resolved, &mut ws);
                         out.ticket = ticket;
                         out.shard = shard;
                         let mut accounting = accounting.lock().expect(ACCOUNTING_POISONED);
@@ -2313,18 +2319,18 @@ impl ShardedRunner {
                             }
                         }
                     }
-                    runner.into_workspace()
+                    ws
                 },
             );
             senders.push(tx);
-            workers.push((shard, handle));
+            workers.push(handle);
         }
         ShardedRunner {
             registry,
             senders,
             results,
             workers,
-            pool,
+            workspaces: spare,
             cancel,
             route: config.route,
             admission: config.admission.clone(),
@@ -2493,7 +2499,7 @@ impl ShardedRunner {
             {
                 Ok(out) => return out,
                 Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    if let Some((shard, _)) = self.workers.iter().find(|(_, h)| h.is_finished()) {
+                    if let Some(shard) = self.workers.iter().position(|h| h.is_finished()) {
                         panic!(
                             "serve: worker shard {shard} died with {} outcomes outstanding",
                             self.outstanding()
@@ -2606,21 +2612,17 @@ impl ShardedRunner {
         self.collect_ordered(n)
     }
 
-    /// Shuts the workers down and returns the [`WorkspacePool`] with every
-    /// shard's workspace checked back in (warm for the next generation).
+    /// Shuts the workers down and returns every shard's workspace in shard
+    /// order (warm for the next generation's
+    /// [`with_workspaces`](Self::with_workspaces)), followed by any it was
+    /// given beyond the shard count. A shard whose worker panicked hands
+    /// back a fresh workspace, so the shards after it keep their index.
     /// Undelivered outcomes are discarded, and still-**queued** requests are
     /// drained without being solved — shutdown waits only for each shard's
     /// in-flight solve, not its backlog.
-    pub fn shutdown(mut self) -> WorkspacePool {
+    pub fn shutdown(mut self) -> Vec<Workspace> {
         self.shutdown_workers();
-        std::mem::take(&mut self.pool)
-    }
-
-    /// Aggregate allocation statistics across the shards' workspaces (only
-    /// meaningful after [`shutdown`](Self::shutdown) checked them in; during
-    /// serving this reports the last-checkin snapshots).
-    pub fn pool(&self) -> &WorkspacePool {
-        &self.pool
+        std::mem::take(&mut self.workspaces)
     }
 
     /// A point-in-time [`ServeStats`] report: total and per-tenant
@@ -2679,15 +2681,16 @@ impl ShardedRunner {
         self.join_workers();
     }
 
-    /// Ends the workers' recv loops by dropping the senders, and checks
-    /// each shard's workspace back in.
+    /// Ends the workers' recv loops by dropping the senders, and puts each
+    /// shard's workspace in front of the spare ones, in shard order.
     fn join_workers(&mut self) {
         self.senders.clear();
-        for (shard, handle) in self.workers.drain(..) {
-            if let Ok(ws) = handle.join() {
-                self.pool.checkin(shard, ws);
-            }
-        }
+        let joined: Vec<Workspace> = self
+            .workers
+            .drain(..)
+            .map(|handle| handle.join().unwrap_or_default())
+            .collect();
+        self.workspaces.splice(..0, joined);
     }
 }
 
@@ -3141,9 +3144,9 @@ mod tests {
         std::fs::remove_file(&wal).ok();
     }
 
-    /// The oracle for [`solve_induced`]: BL, KUW and greedy on the
-    /// sub-engine; SBL, permutation and linear on the sub-instance compacted
-    /// to a standalone hypergraph, solved by `*_mis_in` and mapped back to
+    /// The oracle for [`solve_induced`]: BL and KUW on the sub-engine; SBL,
+    /// greedy, permutation and linear on the sub-instance compacted to a
+    /// standalone hypergraph, solved by `*_mis_in` and mapped back to
     /// original ids. Queries must be valid (in range, duplicate-free).
     fn solve_induced_compacted(
         parent: &ActiveHypergraph,
@@ -3169,8 +3172,14 @@ mod tests {
                 outcome(seed, set, SolveTrace::Kuw(trace), &cost)
             }
             Algorithm::Greedy => {
-                let set = greedy_on_active_in(&sub, &mut cost, ws);
-                outcome(seed, set, SolveTrace::Greedy, &cost)
+                let (hc, map) = sub.compact();
+                let o = greedy_mis_in(&hc, None, ws);
+                outcome(
+                    seed,
+                    map_back(&o.independent_set, &map),
+                    SolveTrace::Greedy,
+                    &o.cost,
+                )
             }
             Algorithm::Sbl(cfg) => {
                 let (hc, map) = sub.compact();

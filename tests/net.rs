@@ -5,12 +5,13 @@
 //! [`BatchRunner::solve`] of the same request produces. Runs in both the
 //! default and `--no-default-features` configurations.
 
+use hypergraph_mis::hypergraph::io::fnv1a;
 use hypergraph_mis::net::codec::{
     decode_error_payload, decode_outcome_payload, decode_request_payload, encode_error_frame,
     encode_outcome_frame, encode_request_frame,
 };
 use hypergraph_mis::net::frame::{
-    decode_frame, encode_frame, fnv1a, DEFAULT_MAX_PAYLOAD, HEADER_LEN, MAGIC, VERSION,
+    decode_frame, encode_frame, DEFAULT_MAX_PAYLOAD, HEADER_LEN, MAGIC, VERSION,
 };
 use hypergraph_mis::net::{Client, FrameError, FrameKind, NetConfig, Server};
 use hypergraph_mis::prelude::*;
@@ -298,6 +299,59 @@ fn solve_error_variants_round_trip() {
         let (frame, _) = decode_frame(&bytes, DEFAULT_MAX_PAYLOAD).expect("valid frame");
         let (_, decoded) = decode_outcome_payload(frame.payload).expect("valid payload");
         assert_eq!(decoded.fingerprint(), outcome.fingerprint());
+    }
+}
+
+/// An induced request that fails after its snapshot resolved —
+/// `InvalidQuery`, `DimensionTooLarge` or `NotLinear` — reports the epoch it
+/// ran against, as a failing full-graph request does: in process, on the
+/// sequential and the sharded path, and after a trip through the codec.
+#[test]
+fn failed_induced_requests_report_their_epoch() {
+    // A 21-vertex edge (above BL's enumerable dimension) and two triples
+    // sharing a pair (not linear). Two mutations later, epoch 1 is pinned
+    // while the graph has moved on to epoch 2.
+    let edges = vec![(0..21).collect(), vec![21, 22, 23], vec![22, 23, 24]];
+    let mut registry = ResidentRegistry::new();
+    let id = registry.register(hypergraph::builder::hypergraph_from_edges(30, edges));
+    for pair in [[25, 26], [27, 28]] {
+        registry
+            .apply(id, &[GraphEdit::AddEdge(pair.to_vec())])
+            .unwrap();
+    }
+    let registry = Arc::new(registry);
+    let pinned = |vertices: Vec<u32>, algorithm: Algorithm| {
+        SolveRequest::induced(id, vertices)
+            .algorithm(algorithm)
+            .seed(7)
+            .pin(EpochPin::At(Epoch(1)))
+            .build()
+    };
+    let requests = vec![
+        pinned(vec![1, 2, 100], Algorithm::Greedy),
+        pinned((0..30).collect(), Algorithm::Bl(BlConfig::default())),
+        pinned(vec![21, 22, 23, 24], Algorithm::Linear),
+    ];
+    let mut runner = BatchRunner::new();
+    let sequential: Vec<SolveOutcome> = requests
+        .iter()
+        .map(|r| runner.solve(&registry, r))
+        .collect();
+    let config = ServeConfig {
+        shards: 2,
+        threads_per_shard: Some(1),
+        ..ServeConfig::default()
+    };
+    let sharded = ShardedRunner::new(Arc::clone(&registry), &config).run_stream(requests);
+    for (i, (out, code)) in sequential.iter().zip([206, 209, 201]).enumerate() {
+        assert_eq!(out.error.as_ref().map(SolveError::code), Some(code));
+        assert_eq!(out.epoch, Some(Epoch(1)), "{:?}", out.error);
+        assert_eq!(sharded[i].fingerprint(), out.fingerprint());
+        let bytes = encode_outcome_frame(i as u64, out);
+        let (frame, _) = decode_frame(&bytes, DEFAULT_MAX_PAYLOAD).expect("valid frame");
+        let (_, decoded) = decode_outcome_payload(frame.payload).expect("valid payload");
+        assert_eq!(decoded.epoch, Some(Epoch(1)));
+        assert_eq!(decoded.fingerprint(), out.fingerprint());
     }
 }
 

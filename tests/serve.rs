@@ -1,7 +1,7 @@
 //! Deterministic stream semantics of the sharded serving subsystem.
 //!
 //! The contract under test: a request's outcome is a pure function of
-//! `(snapshot, algorithm, seed)`. Shard count, queue depth, scheduling and pool
+//! `(snapshot, algorithm, seed)`. Shard count, queue depth, scheduling and runner
 //! generation may change wall time but never an independent set, trace or
 //! cost total — every configuration must agree outcome-for-outcome with the
 //! sequential [`BatchRunner::solve`] path, and `collect_ordered` must
@@ -208,10 +208,18 @@ fn depth_one_queues_backpressure_without_reordering() {
     assert_eq!(got, reference);
 }
 
-/// Pool generations: shutting a runner down checks every shard's workspace
-/// back in; a second runner over the same pool replays the same stream with
-/// identical outcomes and **zero** new allocations — per-shard affinity
-/// means every shard rewarms exactly its own buffers.
+/// Each workspace's [`Workspace::fresh_allocations`], in the order given.
+fn fresh_allocations(workspaces: &[Workspace]) -> Vec<u64> {
+    workspaces
+        .iter()
+        .map(Workspace::fresh_allocations)
+        .collect()
+}
+
+/// Runner generations: shutting a runner down hands every shard's workspace
+/// back in shard order; a second runner given them replays the same stream
+/// with identical outcomes and **zero** new allocations on every shard —
+/// shard `i` rewarms exactly the buffers shard `i` warmed.
 #[test]
 fn pool_generations_rewarm_shard_locally() {
     let (registry, a, b) = registry();
@@ -220,21 +228,54 @@ fn pool_generations_rewarm_shard_locally() {
 
     let mut gen1 = ShardedRunner::new(Arc::clone(&registry), &cfg);
     let first = gen1.run_stream(requests.clone());
-    let pool = gen1.shutdown();
-    assert_eq!(pool.parked(), 3);
-    let warm = pool.fresh_allocations();
-    assert!(warm > 0, "generation 1 must have populated the pools");
+    let workspaces = gen1.shutdown();
+    let warm = fresh_allocations(&workspaces);
+    assert_eq!(warm.len(), 3);
+    assert!(
+        warm.iter().all(|&f| f > 0),
+        "generation 1 must have warmed every shard: {warm:?}"
+    );
 
-    let mut gen2 = ShardedRunner::with_pool(Arc::clone(&registry), &cfg, pool);
+    let mut gen2 = ShardedRunner::with_workspaces(Arc::clone(&registry), &cfg, workspaces);
     let second = gen2.run_stream(requests);
-    let pool = gen2.shutdown();
     assert_eq!(
-        pool.fresh_allocations(),
+        fresh_allocations(&gen2.shutdown()),
         warm,
         "an identical warm generation must not allocate on any shard"
     );
-    assert_eq!(pool.overflow_checkouts(), 0);
     for (x, y) in first.iter().zip(&second) {
+        assert_eq!(x.fingerprint(), y.fingerprint());
+    }
+}
+
+/// The shard count may change between generations: a 2-shard runner given
+/// three warm workspaces hands the third back untouched after its own two,
+/// and a 3-shard generation after it allocates nothing on any shard.
+#[test]
+fn a_generation_with_fewer_shards_hands_the_rest_back_untouched() {
+    let (registry, a, b) = registry();
+    let requests = mixed_stream(a, b, 18);
+
+    let mut gen1 = ShardedRunner::new(Arc::clone(&registry), &config(3, 8));
+    let first = gen1.run_stream(requests.clone());
+    let workspaces = gen1.shutdown();
+    let third = format!("{:?}", workspaces[2]);
+
+    let mut gen2 = ShardedRunner::with_workspaces(Arc::clone(&registry), &config(2, 8), workspaces);
+    gen2.run_stream(requests.clone());
+    let workspaces = gen2.shutdown();
+    assert_eq!(workspaces.len(), 3);
+    assert_eq!(format!("{:?}", workspaces[2]), third);
+    let warm = fresh_allocations(&workspaces);
+
+    let mut gen3 = ShardedRunner::with_workspaces(Arc::clone(&registry), &config(3, 8), workspaces);
+    let last = gen3.run_stream(requests);
+    assert_eq!(
+        fresh_allocations(&gen3.shutdown()),
+        warm,
+        "the last generation must not allocate on any shard"
+    );
+    for (x, y) in first.iter().zip(&last) {
         assert_eq!(x.fingerprint(), y.fingerprint());
     }
 }
@@ -374,32 +415,63 @@ fn overcollecting_panics_instead_of_deadlocking() {
     let _ = runner.collect_ordered(1);
 }
 
-/// A dying worker shard (here: the coins' assertion on a NaN SBL sampling
-/// probability, which only the wire decoder rejects) must surface as a
-/// collector panic naming the shard — even while *other* shards are still
-/// alive and keeping the result channel open — never as a hang.
-#[test]
-#[should_panic(expected = "died")]
-fn dead_worker_panics_the_collector_instead_of_hanging() {
-    let (registry, _a, _b) = registry();
-    // One edge of size 24, above any dimension cap, and a tail threshold
-    // of 1: SBL samples, and its first coin panics on p = NaN.
+/// A request that kills the shard running it: the coins' assertion on a
+/// NaN SBL sampling probability, which only the wire decoder rejects. One
+/// edge of size 24, above any dimension cap, and a tail threshold of 1:
+/// SBL samples, and its first coin panics on p = NaN.
+fn shard_killer() -> SolveRequest {
     let oversized = Arc::new(hypergraph::builder::hypergraph_from_edges(
         30,
         vec![(0u32..24).collect::<Vec<_>>()],
     ));
+    SolveRequest::adhoc(oversized)
+        .algorithm(Algorithm::Sbl(SblConfig {
+            p: Some(f64::NAN),
+            tail_threshold: Some(1),
+            ..SblConfig::default()
+        }))
+        .seed(1)
+        .build()
+}
+
+/// A dying worker shard must surface as a collector panic naming the
+/// shard — even while *other* shards are still alive and keeping the
+/// result channel open — never as a hang.
+#[test]
+#[should_panic(expected = "died")]
+fn dead_worker_panics_the_collector_instead_of_hanging() {
+    let (registry, _a, _b) = registry();
     let mut runner = ShardedRunner::new(Arc::clone(&registry), &config(2, 4));
-    runner.submit(
-        SolveRequest::adhoc(oversized)
-            .algorithm(Algorithm::Sbl(SblConfig {
-                p: Some(f64::NAN),
-                tail_threshold: Some(1),
-                ..SblConfig::default()
-            }))
-            .seed(1)
-            .build(),
-    );
+    runner.submit(shard_killer());
     let _ = runner.collect_ordered(1);
+}
+
+/// After a shard's worker dies, `shutdown` still hands back one workspace
+/// per shard in shard order: a fresh one in the dead shard's slot, and the
+/// live shards' warm ones in theirs.
+#[test]
+fn a_dead_shard_hands_back_a_fresh_workspace_in_its_slot() {
+    let (registry, a, b) = registry();
+    let requests = mixed_stream(a, b, 19);
+    let mut reference = ShardedRunner::new(Arc::clone(&registry), &config(3, 8));
+    reference.run_stream(requests.clone());
+    let warm = fresh_allocations(&reference.shutdown());
+    assert!(
+        warm[0] != warm[2],
+        "shards 0 and 2 must be told apart: {warm:?}"
+    );
+
+    let mut runner = ShardedRunner::new(Arc::clone(&registry), &config(3, 8));
+    runner.run_stream(requests);
+    // Ticket 19 goes round-robin to shard 1, which dies solving it.
+    runner.submit(shard_killer());
+    let collect =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runner.collect_ordered(1)));
+    assert!(collect.is_err(), "the collector must report the dead shard");
+    assert_eq!(
+        fresh_allocations(&runner.shutdown()),
+        vec![warm[0], 0, warm[2]]
+    );
 }
 
 /// The PR-5 headline pin: per-request outcomes are byte-identical across
@@ -904,9 +976,9 @@ proptest! {
 
 /// The twelve empty-instance outcomes — each algorithm on a 0-vertex ad-hoc
 /// graph and on an empty induced query — are pinned whole: no vertex, no
-/// work, no depth, and the rounds each path has always charged. Greedy's
-/// full scan and every permutation scan charge their one round even when
-/// there is nothing to scan; greedy's engine scan returns before charging.
+/// work, no depth, and the rounds each algorithm charges. Greedy and
+/// permutation charge their one round even when there is nothing to scan,
+/// on the full and the induced path alike.
 #[test]
 fn empty_instances_have_pinned_outcomes() {
     use hypergraph_mis::mis_core::trace::SblRoundStats;
@@ -948,7 +1020,7 @@ fn empty_instances_have_pinned_outcomes() {
             0,
         ),
         (Algorithm::Kuw, SolveTrace::Kuw(KuwTrace::default()), 0, 0),
-        (Algorithm::Greedy, SolveTrace::Greedy, 1, 0),
+        (Algorithm::Greedy, SolveTrace::Greedy, 1, 1),
         (
             Algorithm::Permutation,
             SolveTrace::Permutation(vec![]),
