@@ -89,7 +89,7 @@ pub fn bl_mis_in<R: Rng + ?Sized>(
     ws: &mut Workspace,
 ) -> BlOutcome {
     let mut cost = CostTracker::new();
-    let (independent_set, trace) = on_parked_engine(h, "mis.bl.engine", ws, |active, ws| {
+    let (independent_set, trace) = on_parked_engine(h, ws, |active, ws| {
         bl_on_active_in(active, rng, config, &mut cost, ws)
     });
     BlOutcome {

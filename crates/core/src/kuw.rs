@@ -57,7 +57,7 @@ pub fn kuw_mis<R: Rng + ?Sized>(h: &Hypergraph, rng: &mut R) -> KuwOutcome {
 /// [`kuw_mis`] for the same seed.
 pub fn kuw_mis_in<R: Rng + ?Sized>(h: &Hypergraph, rng: &mut R, ws: &mut Workspace) -> KuwOutcome {
     let mut cost = CostTracker::new();
-    let (independent_set, trace) = on_parked_engine(h, "mis.kuw.engine", ws, |active, ws| {
+    let (independent_set, trace) = on_parked_engine(h, ws, |active, ws| {
         kuw_on_active_in(active, rng, &mut cost, ws)
     });
     KuwOutcome {

@@ -28,8 +28,10 @@
 //!   sampled sub-hypergraphs, the serving layer's induced sub-engines and
 //!   the reference engine of the differential suites.
 //! * `x_mis_in(h, rng, …, ws)` — a full [`hypergraph::Hypergraph`] with a
-//!   caller-owned [`Workspace`]: resets the engine parked in `ws` to `h` and
-//!   runs the body (greedy and permutation scan `h` directly instead).
+//!   caller-owned [`Workspace`]: resets the one engine parked in `ws` to `h`
+//!   and runs the body (greedy and permutation scan `h` directly instead).
+//!   SBL, BL, KUW and linear share that engine, so a workspace holds one
+//!   copy of the instance whichever of them it ran.
 //! * `x_mis(h, rng, …)` — the same with a fresh workspace.
 //!
 //! Every randomized entry point takes a caller-supplied [`rand::Rng`], so runs
@@ -73,9 +75,7 @@ pub use bl::{bl_mis, bl_mis_in, BlConfig, BlOutcome};
 pub use greedy::{greedy_mis, greedy_mis_in, GreedyOutcome};
 pub use kuw::{kuw_mis, kuw_mis_in, KuwOutcome};
 pub use pram::Workspace;
-pub use sbl::{
-    sbl_mis, sbl_mis_in, sbl_mis_rebuild, sbl_mis_with, SblConfig, SblOutcome, TailChoice,
-};
+pub use sbl::{sbl_mis, sbl_mis_in, sbl_mis_with, SblConfig, SblOutcome, TailChoice};
 pub use verify::{is_valid_mis, verify_mis, VerifyError};
 
 /// Commonly used items: every entry point, in its three layers (`x_mis`,
@@ -93,24 +93,23 @@ pub mod prelude {
         permutation_rounds_mis_in, PermutationOutcome,
     };
     pub use crate::sbl::{
-        sbl_mis, sbl_mis_in, sbl_mis_rebuild, sbl_mis_with, sbl_on_active_in, SblConfig,
-        SblOutcome, TailChoice,
+        sbl_mis, sbl_mis_in, sbl_mis_with, sbl_on_active_in, SblConfig, SblOutcome, TailChoice,
     };
     pub use crate::trace::{BlTrace, KuwTrace, SblTrace, TailAlgorithm};
     pub use crate::verify::{is_valid_mis, verify_mis, VerifyError};
     pub use pram::Workspace;
 }
 
-/// Runs `body` on the flat engine parked in `ws` under `key`, reset to `h`
-/// (built on first use), then parks the engine again: the one
-/// take-reset-put step behind every engine-backed `x_mis_in`.
+/// Runs `body` on the flat engine parked in `ws`, reset to `h` (built on
+/// first use), then parks the engine again: the one take-reset-put step
+/// behind every engine-backed `x_mis_in`. The four algorithms share the one
+/// slot, so a workspace holds one instance engine whichever of them it ran.
 fn on_parked_engine<T>(
     h: &Hypergraph,
-    key: &'static str,
     ws: &mut Workspace,
     body: impl FnOnce(&mut ActiveHypergraph, &mut Workspace) -> T,
 ) -> T {
-    let mut active = match ws.take_any::<ActiveHypergraph>(key) {
+    let mut active = match ws.take_any::<ActiveHypergraph>("mis.engine") {
         Some(mut engine) => {
             engine.reset_from(h);
             engine
@@ -118,6 +117,6 @@ fn on_parked_engine<T>(
         None => ActiveHypergraph::from_hypergraph(h),
     };
     let out = body(&mut active, ws);
-    ws.put_any(key, active);
+    ws.put_any("mis.engine", active);
     out
 }

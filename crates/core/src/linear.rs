@@ -103,7 +103,7 @@ pub fn linear_mis_in<R: Rng + ?Sized>(
     ws: &mut Workspace,
 ) -> Result<LinearOutcome, LinearError> {
     let mut cost = CostTracker::new();
-    let (independent_set, trace) = on_parked_engine(h, "mis.linear.engine", ws, |active, ws| {
+    let (independent_set, trace) = on_parked_engine(h, ws, |active, ws| {
         linear_on_active_in(active, rng, &mut cost, ws)
     })?;
     Ok(LinearOutcome {

@@ -110,7 +110,6 @@ pub fn permutation_rounds_mis_in<R: Rng + ?Sized>(
     order.shuffle(rng);
 
     let mut cost = CostTracker::new();
-    let mut in_set = ws.take_flags("mis.perm.in_set", n);
     let mut missing = ws.take_u32("mis.perm.missing");
     missing.extend((0..h.n_edges()).map(|e| h.edge_len(e as u32) as u32));
     let mut set = Vec::new();
@@ -131,7 +130,6 @@ pub fn permutation_rounds_mis_in<R: Rng + ?Sized>(
             chunk_work += 1 + inc.len() as u64;
             let blocked = inc.iter().any(|&e| missing[e as usize] == 1);
             if !blocked {
-                in_set[v as usize] = true;
                 set.push(v);
                 for &e in inc {
                     missing[e as usize] -= 1;
@@ -146,7 +144,6 @@ pub fn permutation_rounds_mis_in<R: Rng + ?Sized>(
     }
 
     set.sort_unstable();
-    ws.put_flags("mis.perm.in_set", in_set);
     ws.put_u32("mis.perm.missing", missing);
     PermutationOutcome {
         independent_set: set,

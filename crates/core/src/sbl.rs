@@ -27,7 +27,7 @@
 
 use hypergraph::degree::MAX_ENUMERABLE_DIMENSION;
 use hypergraph::params::SblParams;
-use hypergraph::{ActiveEngine, ActiveHypergraph, Hypergraph, VertexId};
+use hypergraph::{ActiveEngine, Hypergraph, HypergraphBuilder, VertexId};
 use pram::cost::{Cost, CostTracker};
 use pram::Workspace;
 use rand::Rng;
@@ -140,10 +140,10 @@ pub fn sbl_mis_with<R: Rng + ?Sized>(
 }
 
 /// Runs SBL with a caller-owned [`Workspace`], reusing its buffers and
-/// parked engines (the main active engine *and* the per-round sampled
-/// sub-engine) across solves — the zero-reallocation batch path. Identical
-/// results to [`sbl_mis_with`] for the same seed, whether the workspace is
-/// fresh or warm.
+/// parked engines (the instance engine every engine-backed `x_mis_in`
+/// shares *and* the per-round sample engine) across solves — the
+/// zero-reallocation batch path. Identical results to [`sbl_mis_with`] for
+/// the same seed, whether the workspace is fresh or warm.
 pub fn sbl_mis_in<R: Rng + ?Sized>(
     h: &Hypergraph,
     rng: &mut R,
@@ -151,10 +151,9 @@ pub fn sbl_mis_in<R: Rng + ?Sized>(
     ws: &mut Workspace,
 ) -> SblOutcome {
     let mut cost = CostTracker::new();
-    let (independent_set, trace, params) =
-        on_parked_engine(h, "mis.sbl.engine", ws, |active, ws| {
-            sbl_on_active_in(active, rng, config, &mut cost, ws)
-        });
+    let (independent_set, trace, params) = on_parked_engine(h, ws, |active, ws| {
+        sbl_on_active_in(active, rng, config, &mut cost, ws)
+    });
     // Every vertex ends up decided: blue iff it joined the set.
     let mut coloring = Coloring::new(h.n_vertices());
     let mut blues = independent_set.iter().peekable();
@@ -174,242 +173,6 @@ pub fn sbl_mis_in<R: Rng + ?Sized>(
     }
 }
 
-/// Runs SBL through the **rebuild pipeline**: the pre-workspace execution
-/// path, preserved verbatim as the cold baseline. Every solve constructs a
-/// fresh engine, every sampling round materializes its sub-instance with the
-/// allocating [`ActiveEngine::induced_by`] (so sampled sub-engines carry no
-/// incidence index and trim via the full-scan path), and every BL subcall
-/// owns fresh flag scratch.
-///
-/// Outcomes are identical to [`sbl_mis_with`] / [`sbl_mis_in`] for the same
-/// seed — the batch experiment and the determinism suite assert this — and
-/// the *only* difference is lifecycle: rebuild-from-scratch versus
-/// buffer-reuse.
-///
-/// # Stability
-///
-/// This is the **frozen cold baseline** every amortization number
-/// (`BENCH_batch.json`, `BENCH_serve.json`) is measured against. It must not
-/// be optimised: no workspace, no parked engines, no incidence-equipped
-/// induction, no scratch reuse of any kind — any "improvement" here silently
-/// deflates every reported speedup. Accordingly its signature takes **no
-/// [`Workspace`]** (a test pins the workspace-free signature), and the body
-/// below must keep allocating per call. If you think you are fixing a
-/// performance bug in this function, you are breaking the baseline.
-///
-/// Its coin source is the one exception: it draws each round's sample by
-/// skip sampling (one random word per sampled vertex), as
-/// [`sbl_on_active_in`] does, because the two bodies must consume the RNG
-/// identically to stay outcome-identical. Every allocation around the
-/// sampler stays.
-pub fn sbl_mis_rebuild<R: Rng + ?Sized>(
-    h: &Hypergraph,
-    rng: &mut R,
-    config: &SblConfig,
-) -> SblOutcome {
-    let n = h.n_vertices();
-    let params = SblParams::practical_default(n.max(2));
-    let p = config.p.unwrap_or(params.p).clamp(1e-9, 1.0);
-    let dimension_cap = config
-        .dimension_cap
-        .unwrap_or_else(|| params.d_cap())
-        .clamp(1, MAX_ENUMERABLE_DIMENSION);
-    let tail_threshold = config
-        .tail_threshold
-        .unwrap_or_else(|| params.tail_threshold.ceil() as usize)
-        .max(1);
-    let resolved = ResolvedParams {
-        p,
-        dimension_cap,
-        tail_threshold,
-    };
-
-    let mut cost = CostTracker::new();
-    let mut coloring = Coloring::new(n);
-    let mut independent_set: Vec<VertexId> = Vec::new();
-    let mut trace = SblTrace::default();
-    let mut active = ActiveHypergraph::from_hypergraph(h);
-
-    if h.dimension() <= dimension_cap {
-        let (added, bl_trace) = bl_on_active_in(
-            &mut active,
-            rng,
-            &config.bl,
-            &mut cost,
-            &mut Workspace::new(),
-        );
-        for &v in &added {
-            coloring.set_blue(v);
-        }
-        for v in 0..n as VertexId {
-            if !added.contains(&v) {
-                coloring.set_red(v);
-            }
-        }
-        independent_set = added;
-        trace.direct_bl = true;
-        trace.tail = TailAlgorithm::None;
-        trace.rounds.push(SblRoundStats {
-            round: 0,
-            n_alive: n,
-            m: h.n_edges(),
-            p: 1.0,
-            sampled: n,
-            sample_dimension: h.dimension(),
-            dimension_failures: 0,
-            sample_edges: h.n_edges(),
-            added: independent_set.len(),
-            rejected: n - independent_set.len(),
-            edges_discarded: h.n_edges(),
-            bl_stages: bl_trace.n_stages(),
-        });
-        return SblOutcome {
-            independent_set,
-            coloring,
-            trace,
-            cost,
-            params: resolved,
-        };
-    }
-
-    let mut round = 0usize;
-    let mut marked = vec![false; active.id_space()];
-    let mut blue_flags = vec![false; active.id_space()];
-    let mut red_flags = vec![false; active.id_space()];
-    while active.n_alive() >= tail_threshold
-        && active.n_live_edges() > 0
-        && round < config.max_rounds
-    {
-        let n_alive = active.n_alive();
-        let m = active.n_live_edges();
-        let alive = active.alive_vertices();
-        let total_live = active.total_live_size() as u64;
-
-        let mut failures = 0usize;
-        let (sampled, sub) = loop {
-            let mut sampled = Vec::new();
-            for_each_hit(rng, p, alive.len(), |i| {
-                let v = alive[i];
-                marked[v as usize] = true;
-                sampled.push(v);
-            });
-            cost.record(Cost::parallel_step(n_alive as u64));
-            let sub = active.induced_by(&marked);
-            for &v in &sampled {
-                marked[v as usize] = false;
-            }
-            cost.record(Cost::parallel_step(total_live));
-            if sub.dimension() <= dimension_cap {
-                break (sampled, sub);
-            }
-            failures += 1;
-            if failures > config.max_round_retries {
-                break (sampled, sub);
-            }
-        };
-        // No sample BL can take: the tail finishes the residual instance.
-        if sub.dimension() > MAX_ENUMERABLE_DIMENSION {
-            break;
-        }
-
-        let mut sub = sub;
-        let sample_dimension = sub.dimension();
-        let sample_edges = sub.n_live_edges();
-        let (blues, bl_trace) =
-            bl_on_active_in(&mut sub, rng, &config.bl, &mut cost, &mut Workspace::new());
-
-        for &v in &blues {
-            blue_flags[v as usize] = true;
-            coloring.set_blue(v);
-        }
-        let mut reds: Vec<VertexId> = Vec::new();
-        for &v in &sampled {
-            if !blue_flags[v as usize] {
-                red_flags[v as usize] = true;
-                coloring.set_red(v);
-                reds.push(v);
-            }
-        }
-        let rejected = reds.len();
-        independent_set.extend(blues.iter().copied());
-
-        active.kill_vertices(&sampled);
-        let edges_discarded = active.discard_edges_touching(&red_flags, &reds);
-        let emptied = active.shrink_edges_by(&blue_flags, &blues);
-        assert_eq!(
-            emptied, 0,
-            "an edge became entirely blue — BL returned a non-independent set"
-        );
-        cost.record(Cost::parallel_step(m as u64));
-        cost.bump_round();
-
-        for &v in &sampled {
-            blue_flags[v as usize] = false;
-            red_flags[v as usize] = false;
-        }
-
-        trace.rounds.push(SblRoundStats {
-            round,
-            n_alive,
-            m,
-            p,
-            sampled: sampled.len(),
-            sample_dimension,
-            dimension_failures: failures,
-            sample_edges,
-            added: blues.len(),
-            rejected,
-            edges_discarded,
-            bl_stages: bl_trace.n_stages(),
-        });
-        round += 1;
-    }
-
-    let tail_vertices = active.n_alive();
-    if tail_vertices > 0 {
-        let added = match config.tail {
-            TailChoice::Greedy => greedy_on_active_in(&active, &mut cost, &mut Workspace::new()),
-            TailChoice::Kuw => {
-                let (added, kuw_trace) =
-                    kuw_on_active_in(&mut active, rng, &mut cost, &mut Workspace::new());
-                let _ = kuw_trace;
-                added
-            }
-        };
-        trace.tail = match config.tail {
-            TailChoice::Greedy => TailAlgorithm::Greedy,
-            TailChoice::Kuw => TailAlgorithm::Kuw,
-        };
-        for &v in &added {
-            coloring.set_blue(v);
-        }
-        for v in 0..n as VertexId {
-            if coloring.get(v) == crate::coloring::Color::Undecided {
-                coloring.set_red(v);
-            }
-        }
-        independent_set.extend(added);
-    } else {
-        trace.tail = TailAlgorithm::None;
-        for v in 0..n as VertexId {
-            if coloring.get(v) == crate::coloring::Color::Undecided {
-                coloring.set_red(v);
-            }
-        }
-    }
-    trace.tail_vertices = tail_vertices;
-
-    independent_set.sort_unstable();
-    independent_set.dedup();
-    SblOutcome {
-        independent_set,
-        coloring,
-        trace,
-        cost,
-        params: resolved,
-    }
-}
-
 /// Runs SBL on an [`ActiveEngine`] in place, deciding every alive vertex —
 /// the body of every SBL solve ([`sbl_mis_in`] on a parked engine, the
 /// serving layer on induced sub-engines). `n`, `m` and the dimension are
@@ -417,8 +180,9 @@ pub fn sbl_mis_rebuild<R: Rng + ?Sized>(
 /// id space resolves the same parameters as its compacted instance.
 ///
 /// Returns the independent set (sorted, global ids), the round trace and
-/// the parameters the run resolved; costs are recorded into `cost`. The
-/// sampled sub-engine is parked in `ws` between solves. The RNG
+/// the parameters the run resolved; costs are recorded into `cost`. Every
+/// round induces its sample in place into one sample engine, parked in `ws`
+/// between solves (an empty one on a fresh workspace). The RNG
 /// consumption order depends only on the engine-observable state (alive
 /// vertices ascending, walked by one gap draw per sampled vertex; live
 /// edges in arrival order), so two correct engines produce identical
@@ -476,12 +240,12 @@ pub fn sbl_on_active_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
         return (added, trace, resolved);
     }
 
-    // The sub-engine slot is taken lazily at first induce: a solve that
-    // never reaches an induce (the tail threshold already covers the
-    // instance) must not probe the pool for a slot it never fills — that
-    // probe would count as a fresh allocation on every such solve and break
-    // the zero-reallocation contract.
-    let mut sub_slot: Option<E> = None;
+    // The sample engine is taken lazily at first induce: a solve that never
+    // reaches an induce (the tail threshold already covers the instance)
+    // must not probe the workspace for a slot it never fills — that probe
+    // would count as a fresh allocation on every such solve and break the
+    // zero-reallocation contract.
+    let mut sample: Option<E> = None;
     let mut independent_set: Vec<VertexId> = Vec::new();
 
     // Main sampling loop (lines 4–22). The per-round flag buffers are reused
@@ -513,8 +277,7 @@ pub fn sbl_on_active_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
         let total_live = active.total_live_size() as u64;
 
         // Sample until the dimension check passes (FAIL/retry), up to the
-        // configured retry budget. The sub-engine slot is re-induced in
-        // place on every retry (first use allocates it).
+        // configured retry budget, inducing each sample in place.
         let mut failures = 0usize;
         loop {
             sampled.clear();
@@ -524,24 +287,11 @@ pub fn sbl_on_active_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
                 sampled.push(v);
             });
             cost.record(Cost::parallel_step(n_alive as u64));
-            let sub: &E = match &mut sub_slot {
-                Some(sub) => {
-                    active.induced_by_into(&marked, &sampled, sub);
-                    sub
-                }
-                None => {
-                    // First induce of this solve: recycle a parked sub-engine
-                    // from the workspace if one exists, else build fresh.
-                    sub_slot = Some(match ws.take_any::<E>("mis.sbl.sub") {
-                        Some(mut sub) => {
-                            active.induced_by_into(&marked, &sampled, &mut sub);
-                            sub
-                        }
-                        None => active.induced_by(&marked),
-                    });
-                    sub_slot.as_ref().expect("just set")
-                }
-            };
+            let sub = sample.get_or_insert_with(|| {
+                ws.take_any::<E>("mis.sbl.sub")
+                    .unwrap_or_else(|| E::from_hypergraph(&HypergraphBuilder::new(0).build()))
+            });
+            active.induced_by_into(&marked, &sampled, sub);
             // Reset the mark scratch for the next retry / round.
             for &v in &sampled {
                 marked[v as usize] = false;
@@ -562,7 +312,7 @@ pub fn sbl_on_active_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
         // A sample above BL's enumerable dimension after the retry budget
         // (p near 1 resamples the same huge edge) ends the sampling: the
         // tail finishes the residual instance.
-        let sub = sub_slot.as_mut().expect("induced at least once");
+        let sub = sample.as_mut().expect("induced at least once");
         if sub.dimension() > MAX_ENUMERABLE_DIMENSION {
             break;
         }
@@ -648,7 +398,7 @@ pub fn sbl_on_active_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
         independent_set.extend(added);
     }
     trace.tail_vertices = tail_vertices;
-    if let Some(sub) = sub_slot {
+    if let Some(sub) = sample {
         ws.put_any("mis.sbl.sub", sub);
     }
 
@@ -798,8 +548,8 @@ mod tests {
 
     /// With `p = 1` every resample is the whole instance, so a 25-vertex
     /// edge keeps every sample above BL's enumerable dimension (20). Past
-    /// the retry budget both SBL bodies stop sampling and let the tail
-    /// finish the instance, instead of resampling forever.
+    /// the retry budget SBL stops sampling and lets the tail finish the
+    /// instance, instead of resampling forever.
     #[test]
     fn sbl_terminates_when_no_sample_gets_under_the_enumerable_dimension() {
         let h = std::sync::Arc::new(hypergraph_from_edges(
@@ -811,25 +561,17 @@ mod tests {
             ],
         ));
         for tail in [TailChoice::Greedy, TailChoice::Kuw] {
-            for rebuild in [false, true] {
-                let cfg = SblConfig {
-                    p: Some(1.0),
-                    tail_threshold: Some(1),
-                    tail,
-                    ..SblConfig::default()
-                };
-                let graph = std::sync::Arc::clone(&h);
-                let out = before_deadline(move || {
-                    if rebuild {
-                        sbl_mis_rebuild(&graph, &mut rng(13), &cfg)
-                    } else {
-                        sbl_mis_with(&graph, &mut rng(13), &cfg)
-                    }
-                });
-                assert_eq!(verify_mis(&h, &out.independent_set), Ok(()));
-                assert!(out.trace.rounds.is_empty(), "no sample was accepted");
-                assert_eq!(out.trace.tail_vertices, 30);
-            }
+            let cfg = SblConfig {
+                p: Some(1.0),
+                tail_threshold: Some(1),
+                tail,
+                ..SblConfig::default()
+            };
+            let graph = std::sync::Arc::clone(&h);
+            let out = before_deadline(move || sbl_mis_with(&graph, &mut rng(13), &cfg));
+            assert_eq!(verify_mis(&h, &out.independent_set), Ok(()));
+            assert!(out.trace.rounds.is_empty(), "no sample was accepted");
+            assert_eq!(out.trace.tail_vertices, 30);
         }
     }
 

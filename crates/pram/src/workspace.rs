@@ -27,10 +27,11 @@
 //!
 //! The workspace counts how often a take had to allocate or grow
 //! ([`fresh_allocations`](Workspace::fresh_allocations)), which is what the
-//! zero-reallocation tests assert on: after a warm-up solve, a stream of
-//! same-shaped solves must not allocate at all. A serving shard owns one
-//! workspace for its whole life, and hands it back at shutdown so the next
-//! runner's shard of the same index rewarms it.
+//! zero-reallocation tests assert on: once a workspace has solved a set of
+//! instances, solving them again with the same seeds must not allocate at
+//! all. A serving shard owns one workspace for its whole life, and hands it
+//! back at shutdown so the next runner's shard of the same index rewarms
+//! it.
 //!
 //! # Determinism
 //!
@@ -234,8 +235,12 @@ impl Workspace {
     /// back), a sized take (`take_flags` / `take_u32_zeroed`) had to grow the
     /// buffer, or a list buffer came back from the caller with more capacity
     /// than it was handed out with (the caller's pushes reallocated it). A
-    /// warmed-up workspace serving a stream of same-shaped solves reports no
-    /// new fresh allocations — the property the zero-reallocation tests pin.
+    /// workspace that solves again what it has solved before (same
+    /// instances, same seeds) reports no new fresh allocations — the
+    /// property the zero-reallocation tests and the batch guard's
+    /// `warm_fresh_allocations` pin. A seed it has not solved can still grow
+    /// a list buffer: a randomized solve's lists grow to the largest sample,
+    /// round or tail they have held, and a new seed can set a new high.
     ///
     /// Flag buffers are excluded from put-side growth tracking: they are
     /// sized at take and callers only flip bits.

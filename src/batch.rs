@@ -21,7 +21,8 @@
 //!     let out = runner.sbl(&h, &mut rng, &SblConfig::default());
 //!     assert!(verify_mis(&h, &out.independent_set).is_ok());
 //! }
-//! // After the first solve, same-shaped solves allocate nothing new.
+//! // The first solves filled the workspace; solving the same instances
+//! // with the same seeds again would allocate nothing new.
 //! assert!(runner.workspace().fresh_allocations() > 0);
 //! ```
 //!

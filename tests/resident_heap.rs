@@ -3,8 +3,10 @@
 //! live heap by no more than the graphs the registry then holds, plus a
 //! little bookkeeping; inducing a query from a resident graph into a warm
 //! engine allocates nothing; a long run of edit batches grows the heap by
-//! the latest graph plus a few bytes per logged edit; and a warm runner
-//! serves tenants it has never seen without growing the heap at all.
+//! the latest graph plus a few bytes per logged edit; a warm runner
+//! serves tenants it has never seen without growing the heap at all; and a
+//! workspace that has run full SBL, BL, KUW and linear solves of one graph
+//! holds one engine for it.
 //!
 //! A counting `#[global_allocator]` tracks live heap bytes for this whole
 //! test binary, which therefore holds a single test: nothing else allocates
@@ -192,4 +194,32 @@ fn each_resident_graph_is_held_once() {
         }
     });
     assert_eq!(grew, 0, "2048 new tenants grew the heap by {grew} B");
+
+    // A workspace holds one copy of the instance: full SBL, BL, KUW and
+    // linear solves all reset the one engine parked in it. Beside what the
+    // first solve kept (that engine and BL's scratch), the other three keep
+    // less than one more engine: SBL's sample engine, a handful of flag and
+    // list buffers.
+    let graph = generate::linear(&mut ChaCha8Rng::seed_from_u64(40), 4096, 4096, 4);
+    let (engine, engine_bytes) = heap_growth(|| ActiveHypergraph::from_hypergraph(&graph));
+    drop(engine);
+    let rng = |seed: u64| ChaCha8Rng::seed_from_u64(seed);
+    let mut ws = Workspace::new();
+    let bl = BlConfig::default();
+    let (_, first) = heap_growth(|| drop(bl_mis_in(&graph, &mut rng(1), &bl, &mut ws)));
+    let (sampled, rest) = heap_growth(|| {
+        drop(kuw_mis_in(&graph, &mut rng(2), &mut ws));
+        drop(linear_mis_in(&graph, &mut rng(3), &mut ws).expect("a linear graph"));
+        let trace = sbl_mis_in(&graph, &mut rng(4), &SblConfig::default(), &mut ws).trace;
+        !trace.direct_bl && trace.n_rounds() > 0
+    });
+    assert!(sampled, "SBL must sample, parking its sample engine");
+    assert!(
+        first >= engine_bytes,
+        "BL kept {first} B, less than one {engine_bytes} B engine"
+    );
+    assert!(
+        rest < engine_bytes,
+        "SBL, KUW and linear kept {rest} B beside BL's {engine_bytes} B engine"
+    );
 }
