@@ -419,6 +419,7 @@ fn rule_for(key: &str) -> Rule {
         "work"
         | "depth"
         | "rounds"
+        | "stages"
         | "rng_draws"
         | "warm_fresh_allocations"
         | "outcome_fingerprint"
@@ -758,6 +759,27 @@ mod tests {
                 .failures
                 .iter()
                 .any(|f| f.contains("fingerprint mismatch") && f.contains("rng_draws")),
+            "failures: {:?}",
+            report.failures
+        );
+    }
+
+    /// BL stage counts gate exactly: one stage more is a change in what the
+    /// solve decided.
+    #[test]
+    fn stages_gate_exactly() {
+        let fresh = FRESH.replace(
+            "\"outcomes_identical\": true,",
+            "\"outcomes_identical\": true, \"stages\": 133,",
+        );
+        assert!(check_against(&fresh, &fresh, 0.0).unwrap().passed());
+        let drifted = fresh.replace("\"stages\": 133", "\"stages\": 134");
+        let report = check_against(&fresh, &drifted, 10.0).unwrap();
+        assert!(
+            report
+                .failures
+                .iter()
+                .any(|f| f.contains("fingerprint mismatch") && f.contains("stages")),
             "failures: {:?}",
             report.failures
         );

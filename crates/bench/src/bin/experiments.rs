@@ -1622,6 +1622,16 @@ struct CountingRng {
 }
 
 #[cfg(feature = "reference-engine")]
+impl CountingRng {
+    fn new(tag: u64) -> Self {
+        CountingRng {
+            inner: rng_for(tag),
+            words: 0,
+        }
+    }
+}
+
+#[cfg(feature = "reference-engine")]
 impl rand::RngCore for CountingRng {
     fn next_u32(&mut self) -> u32 {
         self.words += 1;
@@ -1648,6 +1658,41 @@ fn sbl_on_fresh_engine<E: hypergraph::ActiveEngine + Send + 'static>(
     (set, cost)
 }
 
+/// One BL solve of `h` on a freshly built engine of type `E` with a fresh
+/// workspace — the direct-BL arm's timed unit. Returns the set, the costs
+/// and the stage count.
+#[cfg(feature = "reference-engine")]
+fn bl_on_fresh_engine<E: hypergraph::ActiveEngine>(
+    h: &hypergraph::Hypergraph,
+    rng: &mut CountingRng,
+) -> (Vec<u32>, CostTracker, usize) {
+    let mut engine = E::from_hypergraph(h);
+    let mut cost = CostTracker::new();
+    let (set, trace) = bl_on_active_in(
+        &mut engine,
+        rng,
+        &BlConfig::default(),
+        &mut cost,
+        &mut Workspace::new(),
+    );
+    (set, cost, trace.n_stages())
+}
+
+/// Runs `solve` `iters ≥ 1` times; returns the best wall time in
+/// milliseconds and the last result.
+#[cfg(feature = "reference-engine")]
+fn best_of<T>(iters: usize, mut solve: impl FnMut() -> T) -> (f64, T) {
+    let mut best = f64::INFINITY;
+    let mut last = None;
+    for _ in 0..iters {
+        let t0 = Instant::now();
+        let out = solve();
+        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+        last = Some(out);
+    }
+    (best, last.expect("iters >= 1"))
+}
+
 /// Engine regression guard: SBL on the `sbl_scaling` workloads, run on both
 /// the flat `ActiveHypergraph` engine and the pre-flat reference engine, with
 /// identical seeds. Asserts the engines make identical decisions (same
@@ -1656,6 +1701,12 @@ fn sbl_on_fresh_engine<E: hypergraph::ActiveEngine + Send + 'static>(
 /// solve reads (`rng_draws`), into `BENCH_activeset.json` (consumed by CI
 /// as an artifact). No speedup bar is asserted here; the gate's speedup
 /// floor is the only one that applies.
+///
+/// The `direct_bl` arm runs BL alone on E2's `d`-uniform workloads
+/// (n = 1024, m = 2n, d = 3 and 4), where most vertices lie in live edges
+/// at every stage, on both engines with E2's seeds. It asserts the same
+/// agreement plus equal stage counts, and records both wall times and the
+/// exact stages, costs, words and set.
 #[cfg(feature = "reference-engine")]
 fn activeset_engine_guard(quick: bool) -> Json {
     use hypergraph::ReferenceActiveHypergraph;
@@ -1705,31 +1756,16 @@ fn activeset_engine_guard(quick: bool) -> Json {
         let h = paper_workload(n, 1);
         let cfg = SblConfig::default();
 
-        let counting = || CountingRng {
-            inner: rng_for(n as u64),
-            words: 0,
-        };
-        let mut best_ref = f64::INFINITY;
-        let mut reference = None;
-        for _ in 0..iters {
-            let mut rng = counting();
-            let t0 = Instant::now();
+        let (best_ref, ((reference_set, reference_cost), reference_words)) = best_of(iters, || {
+            let mut rng = CountingRng::new(n as u64);
             let out = sbl_on_fresh_engine::<ReferenceActiveHypergraph>(&h, &mut rng, &cfg);
-            best_ref = best_ref.min(t0.elapsed().as_secs_f64() * 1e3);
-            reference = Some((out, rng.words));
-        }
-        let ((reference_set, reference_cost), reference_words) = reference.expect("iters >= 1");
-
-        let mut best_flat = f64::INFINITY;
-        let mut flat = None;
-        for _ in 0..iters {
-            let mut rng = counting();
-            let t0 = Instant::now();
+            (out, rng.words)
+        });
+        let (best_flat, ((flat_set, flat_cost), rng_draws)) = best_of(iters, || {
+            let mut rng = CountingRng::new(n as u64);
             let out = sbl_on_fresh_engine::<ActiveHypergraph>(&h, &mut rng, &cfg);
-            best_flat = best_flat.min(t0.elapsed().as_secs_f64() * 1e3);
-            flat = Some((out, rng.words));
-        }
-        let ((flat_set, flat_cost), rng_draws) = flat.expect("iters >= 1");
+            (out, rng.words)
+        });
 
         verify_mis(&h, &flat_set).expect("activeset: invalid MIS");
         let sets_identical = flat_set == reference_set;
@@ -1776,6 +1812,61 @@ fn activeset_engine_guard(quick: bool) -> Json {
          work_per_round rng_draws",
     );
     let (largest_n, largest_speedup) = largest.expect("at least one workload");
+
+    let mut direct_bl = Vec::new();
+    for d in [3usize, 4] {
+        let n = 1024usize;
+        let h = uniform_workload(n, d, 2);
+        let seed = (n * d) as u64;
+        let (reference_ms, ((reference_set, reference_cost, reference_stages), reference_words)) =
+            best_of(iters, || {
+                let mut rng = CountingRng::new(seed);
+                let out = bl_on_fresh_engine::<ReferenceActiveHypergraph>(&h, &mut rng);
+                (out, rng.words)
+            });
+        let (flat_ms, ((set, cost, stages), rng_draws)) = best_of(iters, || {
+            let mut rng = CountingRng::new(seed);
+            let out = bl_on_fresh_engine::<ActiveHypergraph>(&h, &mut rng);
+            (out, rng.words)
+        });
+        verify_mis(&h, &set).expect("activeset: invalid MIS (direct BL)");
+        assert_eq!(
+            set, reference_set,
+            "activeset: engines disagree on the BL set (d={d})"
+        );
+        let (fc, rc) = (cost.cost(), reference_cost.cost());
+        assert_eq!(
+            (fc.work, fc.depth, cost.rounds()),
+            (rc.work, rc.depth, reference_cost.rounds()),
+            "activeset: engines disagree on BL cost totals (d={d})"
+        );
+        assert_eq!(
+            stages, reference_stages,
+            "activeset: engines disagree on BL stages (d={d})"
+        );
+        assert_eq!(
+            rng_draws, reference_words,
+            "activeset: engines read different numbers of keystream words in BL (d={d})"
+        );
+        let set_fingerprint = hypergraph::io::fnv1a(format!("{set:?}").as_bytes());
+        direct_bl.push(obj! {
+            "n" => n,
+            "m" => h.n_edges(),
+            "d" => d,
+            "reference_ms" => ms(reference_ms),
+            "flat_ms" => ms(flat_ms),
+            "stages" => stages,
+            "work" => fc.work,
+            "depth" => fc.depth,
+            "rng_draws" => rng_draws,
+            "set_fingerprint" => format!("0x{set_fingerprint:016x}"),
+        });
+    }
+    print_table(
+        &direct_bl,
+        "n m d reference_ms flat_ms stages work depth rng_draws",
+    );
+
     let artifact = obj! {
         "experiment" => "activeset_engine_guard",
         "baseline" => "ReferenceActiveHypergraph (pre-flat Vec/BTreeSet engine)",
@@ -1794,6 +1885,7 @@ fn activeset_engine_guard(quick: bool) -> Json {
         "sweep_ms" => ms(sweep_ms),
         "largest_workload" => obj! { "n" => largest_n, "speedup" => speedup(largest_speedup) },
         "workloads" => entries,
+        "direct_bl" => direct_bl,
     };
     print_table(
         std::slice::from_ref(&artifact),

@@ -4,18 +4,33 @@
 //!
 //! One *stage* of the algorithm:
 //!
-//! 1. compute `d = dim(H)` and `Δ(H)` and set the marking probability
-//!    `p = 1/(2^{d+1} Δ(H))`;
-//! 2. mark every vertex independently with probability `p`, by walking the
-//!    alive vertices in ascending order and drawing the geometric gap to the
-//!    next marked one: one random word per marked vertex (plus one), the
-//!    law of a coin per vertex;
-//! 3. for every edge that is fully marked, unmark **all** of its vertices;
-//! 4. add the surviving marked vertices `I'` to the independent set, delete
+//! 1. if a live edge remains, move every alive vertex that lies in no live
+//!    edge straight into the independent set. No fully marked edge can ever
+//!    contain such a vertex (edges only lose members), so it joins the set
+//!    in every run and its coin would decide only *when*. A stage with no
+//!    live edge skips this step: its `p` is 1, and it takes every vertex
+//!    without drawing a word;
+//! 2. compute `d = dim(H)` and `Δ(H)` and set the marking probability
+//!    `p = 1/(2^{d+1} Δ(H))`; both read the live edges only, so step 1
+//!    changes neither;
+//! 3. mark every remaining vertex independently with probability `p`, by
+//!    walking the alive vertices in ascending order and drawing the
+//!    geometric gap to the next marked one: one random word per marked
+//!    vertex (plus one), the law of a coin per vertex;
+//! 4. for every edge that is fully marked, unmark **all** of its vertices;
+//! 5. add the surviving marked vertices `I'` to the independent set, delete
 //!    them from the vertex set and from every edge;
-//! 5. cleanup: drop edges that now contain another edge (dominated), and drop
+//! 6. cleanup: drop edges that now contain another edge (dominated), and drop
 //!    singleton edges together with their vertex (which can never join the
 //!    independent set).
+//!
+//! The [`CostTracker`] charges model Algorithm 2, not this implementation.
+//! A stage with a live edge charges `m · 2^d` for the degree table; every
+//! stage charges `n_alive` for the marking, the live size for the
+//! unmarking, `n_alive` for the accept pass and `m` for the cleanup, and
+//! bumps one round. `n_alive` and `m` are the counts at the start of the
+//! stage, before step 1. Step 1 adds no charge: Algorithm 2 decides those
+//! vertices in the marking step that `n_alive` already pays for.
 //!
 //! Stages repeat until no undecided vertex remains. Kelsen proved an
 //! `O((log n)^{(d+4)!})` stage bound for constant `d`; the paper's Theorem 2
@@ -232,7 +247,15 @@ pub(crate) fn bl_on_active_scratch<E: ActiveEngine, R: Rng + ?Sized>(
         let n_alive = active.n_alive();
         let m = active.n_live_edges();
 
-        // Degree profile and marking probability.
+        // Step 1: the vertices in no live edge join I without a coin. A stage
+        // with no live edge skips this: p = 1 takes everything undrawn.
+        let isolated = if m == 0 {
+            0
+        } else {
+            active.kill_isolated_vertices(&mut independent_set)
+        };
+
+        // Step 2: degree profile and marking probability.
         let (delta, deltas_by_dimension) = if m == 0 {
             (0.0, Vec::new())
         } else {
@@ -247,9 +270,10 @@ pub(crate) fn bl_on_active_scratch<E: ActiveEngine, R: Rng + ?Sized>(
         };
         let p = beame_luby_probability(delta, dim);
 
-        // Step 1: independent marking. The RNG is read by one gap draw per
-        // marked vertex, walking the alive vertices in ascending order, which
-        // pins the consumption order across engines.
+        // Step 3: independent marking of the vertices step 1 left. The RNG is
+        // read by one gap draw per marked vertex, walking the alive vertices
+        // in ascending order, which pins the consumption order across
+        // engines.
         active.alive_into(alive);
         marked_list.clear();
         for_each_hit(rng, p, alive.len(), |i| {
@@ -260,7 +284,7 @@ pub(crate) fn bl_on_active_scratch<E: ActiveEngine, R: Rng + ?Sized>(
         let n_marked = marked_list.len();
         cost.record(Cost::parallel_step(n_alive as u64));
 
-        // Step 2: unmark every vertex of every fully marked edge.
+        // Step 4: unmark every vertex of every fully marked edge.
         for e in active.edge_slices() {
             if e.iter().all(|&v| marked[v as usize]) {
                 for &v in e {
@@ -284,7 +308,7 @@ pub(crate) fn bl_on_active_scratch<E: ActiveEngine, R: Rng + ?Sized>(
         }
         cost.record(Cost::parallel_step(n_alive as u64));
 
-        // Step 3: commit I', trim edges, cleanup.
+        // Steps 5 and 6: commit I', trim edges, cleanup.
         active.kill_vertices(accepted);
         let emptied = active.shrink_edges_by(accepted_flags, accepted);
         debug_assert_eq!(
@@ -307,7 +331,7 @@ pub(crate) fn bl_on_active_scratch<E: ActiveEngine, R: Rng + ?Sized>(
             p,
             marked: n_marked,
             unmarked: n_unmarked,
-            added: accepted.len(),
+            added: isolated + accepted.len(),
             dominated_removed,
             singletons_removed: singletons.len(),
             deltas_by_dimension,
@@ -330,6 +354,7 @@ pub(crate) fn bl_on_active_scratch<E: ActiveEngine, R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::assert_isolated_vertices_cost_no_coins;
     use crate::verify::is_valid_mis;
     use hypergraph::builder::hypergraph_from_edges;
     use hypergraph::generate;
@@ -438,6 +463,28 @@ mod tests {
         let b = bl_mis(&h, &mut rng(9), &BlConfig::default());
         assert_eq!(a.independent_set, b.independent_set);
         assert_eq!(a.trace, b.trace);
+    }
+
+    /// Vertices in no edge are taken without a coin: padding an instance
+    /// with isolated vertices between its own changes neither the words
+    /// read nor the stage count, and the padded set is the relabelled set
+    /// plus the padding.
+    #[test]
+    fn isolated_vertices_cost_no_coins() {
+        let mut r = rng(29);
+        for i in 0..10u64 {
+            let instances = [
+                generate::d_uniform(&mut r, 90, 150, 3),
+                generate::mixed_dimension(&mut r, 90, 120, &[1, 2, 3, 4]),
+                generate::paper_regime(&mut r, 120, 20, 6),
+            ];
+            for (k, h) in instances.iter().enumerate() {
+                assert_isolated_vertices_cost_no_coins(h, 3 * i + k as u64, |h, rng| {
+                    let out = bl_mis(h, rng, &BlConfig::default());
+                    (out.independent_set, out.trace.n_stages())
+                });
+            }
+        }
     }
 
     #[test]

@@ -69,6 +69,9 @@ pub mod sbl;
 pub mod trace;
 pub mod verify;
 
+#[cfg(test)]
+pub(crate) mod test_support;
+
 use hypergraph::{ActiveHypergraph, Hypergraph};
 
 pub use bl::{bl_mis, bl_mis_in, BlConfig, BlOutcome};

@@ -8,10 +8,13 @@
 //! specialisation: the marking probability is derived from the maximum
 //! *vertex* degree (which, in a linear hypergraph, controls the number of
 //! edges any marked set can complete) instead of Kelsen's normalized degree,
-//! and the per-stage structure is otherwise identical to [`crate::bl`],
-//! including the marking by geometric gaps (one random word per marked
-//! vertex, plus one, read in ascending vertex order) and the unmark and
-//! accept passes over the marked vertices only. A linearity check is
+//! and the per-stage structure is otherwise identical to [`crate::bl`]:
+//! a stage with a live edge first takes every alive vertex in no live edge
+//! without a coin, the rest are marked by geometric gaps (one random word
+//! per marked vertex, plus one, read in ascending vertex order), and the
+//! unmark and accept passes walk the marked vertices only. As in BL, the
+//! charges use the counts at the start of the stage, and taking the
+//! vertices in no live edge charges nothing. A linearity check is
 //! performed up front so callers cannot accidentally run the specialised
 //! probability on a non-linear instance.
 
@@ -151,12 +154,19 @@ pub fn linear_on_active_in<E: ActiveEngine, R: Rng + ?Sized>(
         let n_alive = active.n_alive();
         let m = active.n_live_edges();
         let dim = active.dimension();
+        // The vertices in no live edge join I without a coin, as in BL.
+        let isolated = if m == 0 {
+            0
+        } else {
+            active.kill_isolated_vertices(&mut independent_set)
+        };
         active.alive_into(&mut alive);
 
         // Linear marking probability: with D = max vertex degree and edges of
         // size >= 2, marking with p = 1/(2 (D · d)^{1/(d-1)} ) keeps the
         // expected number of fully marked edges through any vertex below 1/2,
         // which is all the unmarking argument needs on a linear hypergraph.
+        // The vertices taken above have degree 0, so D is unchanged.
         let p = if m == 0 {
             1.0
         } else {
@@ -211,7 +221,7 @@ pub fn linear_on_active_in<E: ActiveEngine, R: Rng + ?Sized>(
             p,
             marked: n_marked,
             unmarked: n_unmarked,
-            added: accepted.len(),
+            added: isolated + accepted.len(),
             dominated_removed,
             singletons_removed: singletons.len(),
             deltas_by_dimension: Vec::new(),
@@ -259,6 +269,7 @@ fn max_alive_degree<E: ActiveEngine>(active: &E, alive: &[VertexId], ws: &mut Wo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::assert_isolated_vertices_cost_no_coins;
     use crate::verify::is_valid_mis;
     use hypergraph::builder::hypergraph_from_edges;
     use hypergraph::generate;
@@ -321,6 +332,20 @@ mod tests {
         assert_eq!(check_linear(&h), Ok(()));
         let out = linear_mis(&h, &mut rng(30)).unwrap();
         assert!(is_valid_mis(&h, &out.independent_set));
+    }
+
+    /// Vertices in no edge are taken without a coin, as in BL: padding
+    /// changes neither the words read nor the stage count.
+    #[test]
+    fn isolated_vertices_cost_no_coins() {
+        let mut r = rng(29);
+        for seed in 0..10u64 {
+            let h = generate::linear(&mut r, 150, 60, 3);
+            assert_isolated_vertices_cost_no_coins(&h, seed, |h, rng| {
+                let out = linear_mis(h, rng).unwrap();
+                (out.independent_set, out.trace.n_stages())
+            });
+        }
     }
 
     #[test]

@@ -59,34 +59,9 @@ pub(crate) fn for_each_hit<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::Counting;
     use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
-
-    /// A ChaCha8 stream that counts the `next_u64` words drawn from it.
-    struct Counting {
-        inner: ChaCha8Rng,
-        words: usize,
-    }
-
-    impl Counting {
-        fn new(seed: u64) -> Self {
-            Counting {
-                inner: ChaCha8Rng::seed_from_u64(seed),
-                words: 0,
-            }
-        }
-    }
-
-    impl RngCore for Counting {
-        fn next_u32(&mut self) -> u32 {
-            unreachable!("the sampler draws whole u64 words")
-        }
-
-        fn next_u64(&mut self) -> u64 {
-            self.words += 1;
-            self.inner.next_u64()
-        }
-    }
 
     /// Returns the same word forever.
     struct Constant(u64);

@@ -12,7 +12,8 @@
 pub struct BlStageStats {
     /// Stage index, starting at 0.
     pub stage: usize,
-    /// Alive vertices at the start of the stage.
+    /// Alive vertices at the start of the stage, before the vertices in no
+    /// live edge are taken.
     pub n_alive: usize,
     /// Edges at the start of the stage.
     pub m: usize,
@@ -22,11 +23,14 @@ pub struct BlStageStats {
     pub delta: f64,
     /// Marking probability `p = 1/(2^{d+1}Δ)` used in the stage.
     pub p: f64,
-    /// Vertices marked in the stage.
+    /// Vertices marked by a coin in the stage; the vertices in no live edge,
+    /// which the stage takes without one, are not counted.
     pub marked: usize,
     /// Vertices unmarked because they sat in a fully marked edge.
     pub unmarked: usize,
-    /// Vertices added to the independent set in the stage.
+    /// Vertices added to the independent set in the stage: the accepted
+    /// marked vertices plus the vertices in no live edge, so the stages'
+    /// sum is the size of the set unless the `max_stages` fallback ran.
     pub added: usize,
     /// Dominated edges removed during cleanup.
     pub dominated_removed: usize,

@@ -204,6 +204,18 @@ pub trait ActiveEngine: HypergraphView + Clone {
     /// the algorithm's semantics.
     fn kill_vertices(&mut self, vs: &[VertexId]);
 
+    /// Kills every alive vertex that lies in no live edge and appends those
+    /// vertices, ascending, to `out`; returns how many it appended. Live
+    /// edges are untouched.
+    ///
+    /// Such a vertex can never sit in a fully marked edge (edges only lose
+    /// members, so it never joins one), so BL and the linear algorithm take
+    /// it into the independent set without a coin. [`ActiveHypergraph`]
+    /// does this in one epoch-stamp pass over the live edges and one stable
+    /// partition of the alive list, `O(n_alive + Σ|e|)`, with no id-space
+    /// pass and no allocation beyond `out`'s growth.
+    fn kill_isolated_vertices(&mut self, out: &mut Vec<VertexId>) -> usize;
+
     /// Removes the vertices of `set` from every edge (the "trim" step: these
     /// vertices joined the independent set, so the rest of each edge must
     /// still avoid becoming fully blue). `vs` must list exactly the vertices
@@ -659,6 +671,35 @@ impl ActiveHypergraph {
                 self.alive_list.retain(|&v| status[v as usize] == V_ALIVE);
             }
         }
+    }
+
+    /// Kills every alive vertex in no live edge and appends them, ascending,
+    /// to `out`; returns how many (see
+    /// [`ActiveEngine::kill_isolated_vertices`]). Stamps the live members,
+    /// then partitions the alive list in place: `O(n_alive + Σ|e|)`.
+    pub fn kill_isolated_vertices(&mut self, out: &mut Vec<VertexId>) -> usize {
+        let cur = self.next_epoch();
+        for &e in &self.live_edges {
+            let lo = self.edge_offsets[e as usize] as usize;
+            let hi = lo + self.live_len[e as usize] as usize;
+            for &v in &self.edge_vertices[lo..hi] {
+                self.stamp[v as usize] = cur;
+            }
+        }
+        let before = out.len();
+        let mut kept = 0usize;
+        for i in 0..self.alive_list.len() {
+            let v = self.alive_list[i];
+            if self.stamp[v as usize] == cur {
+                self.alive_list[kept] = v;
+                kept += 1;
+            } else {
+                self.status[v as usize] = V_DEAD;
+                out.push(v);
+            }
+        }
+        self.alive_list.truncate(kept);
+        out.len() - before
     }
 
     /// Total number of construction-time incident edges of `vs`, if an
@@ -1419,6 +1460,10 @@ impl ActiveEngine for ActiveHypergraph {
         ActiveHypergraph::kill_vertices(self, vs)
     }
 
+    fn kill_isolated_vertices(&mut self, out: &mut Vec<VertexId>) -> usize {
+        ActiveHypergraph::kill_isolated_vertices(self, out)
+    }
+
     fn shrink_edges_by(&mut self, set: &[bool], vs: &[VertexId]) -> usize {
         ActiveHypergraph::shrink_edges_by(self, set, vs)
     }
@@ -1708,6 +1753,21 @@ pub mod reference {
 
         fn kill_vertices(&mut self, vs: &[VertexId]) {
             self.kill_vertices_impl(vs)
+        }
+
+        fn kill_isolated_vertices(&mut self, out: &mut Vec<VertexId>) -> usize {
+            let mut covered = vec![false; self.id_space];
+            for e in &self.edges {
+                for &v in e {
+                    covered[v as usize] = true;
+                }
+            }
+            let isolated: Vec<VertexId> = (0..self.id_space as VertexId)
+                .filter(|&v| self.alive[v as usize] && !covered[v as usize])
+                .collect();
+            self.kill_vertices_impl(&isolated);
+            out.extend_from_slice(&isolated);
+            isolated.len()
         }
 
         fn shrink_edges_by(&mut self, set: &[bool], _vs: &[VertexId]) -> usize {

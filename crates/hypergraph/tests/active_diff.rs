@@ -28,6 +28,8 @@ enum Op {
     RemoveDominated,
     /// Drop singleton edges together with their vertex.
     RemoveSingletons,
+    /// Kill the alive vertices in no live edge (BL's coinless step).
+    KillIsolated,
     /// Query the independence oracle (no mutation).
     Oracle(Vec<u32>),
     /// Restrict both engines to the sub-hypergraph induced by a mark set.
@@ -176,6 +178,14 @@ fn replay(h: &Hypergraph, ops: &[Op]) {
                 );
                 validate(&flat, &ctx);
             }
+            Op::KillIsolated => {
+                assert_eq!(
+                    kill_isolated(&mut flat),
+                    kill_isolated(&mut reference),
+                    "{ctx}: killed isolated vertices"
+                );
+                validate(&flat, &ctx);
+            }
             Op::Oracle(vs) => {
                 let vs: Vec<u32> = vs
                     .iter()
@@ -218,6 +228,18 @@ fn replay(h: &Hypergraph, ops: &[Op]) {
     }
 }
 
+/// Runs [`ActiveEngine::kill_isolated_vertices`] into a list that already
+/// holds a sentinel (the call appends), checking that the returned count is
+/// what it appended, and returns the appended vertices.
+fn kill_isolated<E: ActiveEngine>(engine: &mut E) -> Vec<u32> {
+    let mut out = vec![u32::MAX];
+    let n = engine.kill_isolated_vertices(&mut out);
+    assert_eq!(out.len(), n + 1, "count returned vs vertices appended");
+    assert_eq!(out.remove(0), u32::MAX, "the call kept what out held");
+    assert!(out.iter().all(|&v| !engine.is_alive(v)), "killed");
+    out
+}
+
 /// A random edit script in the shape the algorithms actually produce: blue
 /// batches are trimmed, red batches are discarded, cleanup ops interleave.
 fn random_script<R: Rng>(rng: &mut R, id_space: usize, len: usize) -> Vec<Op> {
@@ -232,12 +254,13 @@ fn random_script<R: Rng>(rng: &mut R, id_space: usize, len: usize) -> Vec<Op> {
         pool
     };
     for _ in 0..len {
-        let op = match rng.gen_range(0..6u32) {
+        let op = match rng.gen_range(0..7u32) {
             0 => Op::DecideBlue(subset(rng, 4)),
             1 => Op::DecideRed(subset(rng, 4)),
             2 => Op::RemoveDominated,
             3 => Op::RemoveSingletons,
             4 => Op::Oracle(subset(rng, 8)),
+            5 => Op::KillIsolated,
             _ => Op::Induce(subset(rng, id_space)),
         };
         ops.push(op);
@@ -329,6 +352,24 @@ fn handpicked_scripts() {
             Op::Induce((0..8).collect()),
             Op::RemoveSingletons,
             Op::RemoveDominated,
+        ],
+    );
+
+    // Vertices that start isolated, and ones a red decision isolates; then
+    // a sweep with nothing left to take, and one on an edgeless engine.
+    let h = hypergraph::builder::hypergraph_from_edges(
+        9,
+        vec![vec![1, 2, 3], vec![3, 4], vec![4, 6, 7]],
+    );
+    replay(
+        &h,
+        &[
+            Op::KillIsolated,
+            Op::DecideRed(vec![3]),
+            Op::KillIsolated,
+            Op::KillIsolated,
+            Op::DecideRed(vec![7]),
+            Op::KillIsolated,
         ],
     );
 }
@@ -451,6 +492,9 @@ fn apply_op(
                 flat.remove_singleton_edges(),
                 ActiveEngine::remove_singleton_edges(reference)
             );
+        }
+        Op::KillIsolated => {
+            assert_eq!(kill_isolated(flat), kill_isolated(reference));
         }
         Op::Oracle(vs) => {
             let vs: Vec<u32> = vs

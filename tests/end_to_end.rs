@@ -68,32 +68,64 @@ fn all_algorithms_produce_valid_mis_on_all_families() {
     }
 }
 
-/// SBL's coloring must be complete, consistent with the returned set, and the
-/// per-round trace must account for every decided vertex.
+/// SBL's coloring must be complete and consistent with the returned set, and
+/// the trace must account for every vertex exactly once: each round decides
+/// its sample (blue or red, BL's cleanups counted red) and the tail decides
+/// the rest. BL's stages add up to its set.
 #[test]
 fn sbl_trace_accounts_for_every_vertex() {
     let mut r = rng(2);
-    let h = generate::paper_regime(&mut r, 900, 120, 14);
-    let out = sbl_mis(&h, &mut r);
-    assert_eq!(verify_mis(&h, &out.independent_set), Ok(()));
-    assert!(out.coloring.is_complete());
-    assert_eq!(out.coloring.blues(), out.independent_set);
-    assert_eq!(
-        out.coloring.blues().len() + out.coloring.reds().len(),
-        h.n_vertices()
-    );
-    if !out.trace.direct_bl {
-        let decided_in_rounds: usize = out
-            .trace
-            .rounds
-            .iter()
-            .map(|round| round.added + round.rejected)
-            .sum();
-        // Vertices decided by sampling rounds + the tail (plus vertices culled
-        // inside BL cleanups, which are counted as rejected) must cover
-        // everything once the tail's vertices are added.
-        assert!(decided_in_rounds <= h.n_vertices());
-        assert!(decided_in_rounds + out.trace.tail_vertices >= out.coloring.blues().len());
+    let families = [
+        generate::paper_regime(&mut r, 900, 120, 14),
+        generate::paper_regime(&mut r, 600, 200, 24),
+        generate::d_uniform(&mut r, 500, 900, 9),
+        generate::mixed_dimension(&mut r, 500, 700, &[2, 6, 10, 16]),
+    ];
+    let mut sampled_runs = 0;
+    for (i, h) in families.iter().enumerate() {
+        for tail_threshold in [None, Some(4)] {
+            let ctx = format!("instance {i}, tail threshold {tail_threshold:?}");
+            let config = SblConfig {
+                tail_threshold,
+                ..SblConfig::default()
+            };
+            let out = sbl_mis_with(h, &mut r, &config);
+            assert_eq!(verify_mis(h, &out.independent_set), Ok(()), "{ctx}");
+            assert!(out.coloring.is_complete(), "{ctx}");
+            assert_eq!(out.coloring.blues(), out.independent_set, "{ctx}");
+            assert_eq!(
+                out.coloring.blues().len() + out.coloring.reds().len(),
+                h.n_vertices(),
+                "{ctx}"
+            );
+            if out.trace.direct_bl {
+                continue;
+            }
+            sampled_runs += 1;
+            let decided: usize = out
+                .trace
+                .rounds
+                .iter()
+                .map(|round| round.added + round.rejected)
+                .sum();
+            let sampled: usize = out.trace.rounds.iter().map(|round| round.sampled).sum();
+            assert_eq!(decided, sampled, "{ctx}");
+            assert_eq!(sampled + out.trace.tail_vertices, h.n_vertices(), "{ctx}");
+        }
+    }
+    assert_eq!(sampled_runs, 2 * families.len(), "every run samples");
+
+    let bl_families = [
+        generate::d_uniform(&mut r, 300, 600, 3),
+        generate::mixed_dimension(&mut r, 300, 400, &[1, 2, 3, 4]),
+    ];
+    for (i, h) in bl_families.iter().enumerate() {
+        let out = bl_mis(h, &mut r, &BlConfig::default());
+        assert_eq!(
+            out.trace.total_added(),
+            out.independent_set.len(),
+            "BL instance {i}"
+        );
     }
 }
 
