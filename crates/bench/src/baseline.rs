@@ -420,6 +420,7 @@ fn rule_for(key: &str) -> Rule {
         | "depth"
         | "rounds"
         | "stages"
+        | "work_per_round"
         | "rng_draws"
         | "warm_fresh_allocations"
         | "outcome_fingerprint"
@@ -780,6 +781,27 @@ mod tests {
                 .failures
                 .iter()
                 .any(|f| f.contains("fingerprint mismatch") && f.contains("stages")),
+            "failures: {:?}",
+            report.failures
+        );
+    }
+
+    /// Work per round is work / rounds, as deterministic as either: a
+    /// stale value fails instead of passing unnoticed.
+    #[test]
+    fn work_per_round_gates_exactly() {
+        let fresh = FRESH.replace(
+            "\"outcomes_identical\": true,",
+            "\"outcomes_identical\": true, \"work_per_round\": 420,",
+        );
+        assert!(check_against(&fresh, &fresh, 0.0).unwrap().passed());
+        let stale = fresh.replace("\"work_per_round\": 420", "\"work_per_round\": 511");
+        let report = check_against(&fresh, &stale, 10.0).unwrap();
+        assert!(
+            report
+                .failures
+                .iter()
+                .any(|f| f.contains("fingerprint mismatch") && f.contains("work_per_round")),
             "failures: {:?}",
             report.failures
         );

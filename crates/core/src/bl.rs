@@ -120,10 +120,11 @@ pub fn bl_mis_in<R: Rng + ?Sized>(
 /// stage trace; costs are recorded into `cost`.
 ///
 /// This is the body every BL solve runs: [`bl_mis_in`] on a parked engine,
-/// SBL on its sampled sub-hypergraphs, the serving layer on induced
-/// sub-engines. All per-stage flag and index scratch comes from (and
-/// returns to) `ws`, so a warmed-up workspace makes the stage loop
-/// allocation-free.
+/// SBL's direct-BL branch, the serving layer on induced sub-engines (SBL's
+/// sampling rounds run the same stages through `bl_on_active_scratch`,
+/// which leaves the set unsorted). All per-stage flag and index scratch
+/// comes from (and returns to) `ws`, so a warmed-up workspace makes the
+/// stage loop allocation-free.
 pub fn bl_on_active_in<E: ActiveEngine, R: Rng + ?Sized>(
     active: &mut E,
     rng: &mut R,
@@ -132,9 +133,11 @@ pub fn bl_on_active_in<E: ActiveEngine, R: Rng + ?Sized>(
     ws: &mut Workspace,
 ) -> (Vec<VertexId>, BlTrace) {
     let mut scratch = BlScratch::take(ws, active.id_space());
-    let out = bl_on_active_scratch(active, rng, config, cost, ws, &mut scratch);
+    let (mut independent_set, trace) =
+        bl_on_active_scratch(active, rng, config, cost, ws, &mut scratch);
     scratch.put(ws);
-    out
+    independent_set.sort_unstable();
+    (independent_set, trace)
 }
 
 /// The per-stage scratch of a Beame–Luby run, hoisted so a caller driving
@@ -182,7 +185,10 @@ impl BlScratch {
 }
 
 /// [`bl_on_active_in`] over caller-held [`BlScratch`] (see there for the
-/// reuse contract). `ws` is still needed for the greedy-fallback path.
+/// reuse contract), returning the added vertices **unsorted**: each stage
+/// appends its isolated and accepted vertices, ascending within the stage.
+/// SBL reads them only as flags, so it skips the sort. `ws` is still needed
+/// for the greedy-fallback path.
 pub(crate) fn bl_on_active_scratch<E: ActiveEngine, R: Rng + ?Sized>(
     active: &mut E,
     rng: &mut R,
@@ -347,7 +353,6 @@ pub(crate) fn bl_on_active_scratch<E: ActiveEngine, R: Rng + ?Sized>(
         }
     }
 
-    independent_set.sort_unstable();
     (independent_set, trace)
 }
 
@@ -415,6 +420,12 @@ mod tests {
         let h = generate::mixed_dimension(&mut r, 80, 150, &[2, 3, 4, 5]);
         let out = bl_mis(&h, &mut r, &BlConfig::default());
         assert!(is_valid_mis(&h, &out.independent_set));
+        // The stages append their vertices unsorted; the public body sorts.
+        assert!(
+            out.independent_set.windows(2).all(|w| w[0] < w[1]),
+            "{:?}",
+            out.independent_set
+        );
         // Stage count should be modest (polylog in practice).
         assert!(
             out.trace.n_stages() < 200,

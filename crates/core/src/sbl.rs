@@ -6,9 +6,11 @@
 //! edge *entirely* only with tiny probability. SBL therefore repeats:
 //!
 //! 1. sample each undecided vertex independently with probability `p`, by
-//!    walking the alive vertices in ascending order and drawing the
-//!    geometric gap to the next sampled one: one random word per sampled
-//!    vertex (plus one), with the law of a coin per vertex;
+//!    walking the ranks of the alive vertices in ascending order and drawing
+//!    the geometric gap to the next sampled one: one random word per sampled
+//!    vertex (plus one), with the law of a coin per vertex. The engine maps
+//!    each hit rank to its vertex ([`ActiveEngine::alive_at`]), so a round
+//!    reads only its sample, not the whole alive list;
 //! 2. let `H' = (V', E')` be the sampled vertices together with the edges that
 //!    are **fully** sampled; if some edge of `H'` exceeds the dimension cap
 //!    `d = log log n / (4 log log log n)` the round FAILs and is retried with
@@ -16,14 +18,20 @@
 //! 3. run BL on `H'`; its blue vertices join the global independent set and
 //!    the other sampled vertices become red — this is the *permanent* coloring
 //!    of `V'`;
-//! 4. every edge touching a red vertex can never become fully blue and is
-//!    dropped; the remaining edges lose their blue vertices;
+//! 4. `V'` leaves the vertex set, killed by the same ranks
+//!    ([`ActiveEngine::kill_alive_at`]); every edge touching a red vertex can
+//!    never become fully blue and is dropped; the remaining edges lose their
+//!    blue vertices;
 //! 5. once fewer than `1/p²` vertices remain, the residual instance is handed
 //!    to a linear-time sweep (or the KUW baseline).
 //!
 //! The blue set is a maximal independent set of the *original* hypergraph
 //! (Section 2.1 of the paper); [`crate::verify::verify_mis`] re-checks this at
-//! the end of every test.
+//! the end of every test. Each round's blues and the tail's additions are
+//! recorded as in-set flags, and the answer is read off them, ascending, in
+//! one pass over the solve's starting alive list: no solve sorts its set,
+//! and the BL subcalls hand theirs back unsorted. [`SblOutcome::coloring`]
+//! derives the red/blue coloring from the set on demand.
 
 use hypergraph::degree::MAX_ENUMERABLE_DIMENSION;
 use hypergraph::params::SblParams;
@@ -103,14 +111,34 @@ impl Default for SblConfig {
 pub struct SblOutcome {
     /// The maximal independent set (blue vertices), sorted.
     pub independent_set: Vec<VertexId>,
-    /// The full red/blue coloring of the vertex set.
-    pub coloring: Coloring,
+    /// Number of vertices of the solved hypergraph: the id space
+    /// [`coloring`](Self::coloring) covers.
+    pub n_vertices: usize,
     /// Per-round instrumentation.
     pub trace: SblTrace,
     /// Work–depth accounting across all rounds, BL subcalls and the tail.
     pub cost: CostTracker,
     /// The parameters the run actually used.
     pub params: ResolvedParams,
+}
+
+impl SblOutcome {
+    /// The full red/blue coloring of the vertex set: every vertex ends up
+    /// decided, blue iff it joined the set. Derived from
+    /// [`independent_set`](Self::independent_set) on each call, in
+    /// `O(n_vertices)`; a solve does not build it.
+    pub fn coloring(&self) -> Coloring {
+        let mut coloring = Coloring::new(self.n_vertices);
+        let mut blues = self.independent_set.iter().peekable();
+        for v in 0..self.n_vertices as VertexId {
+            if blues.next_if_eq(&&v).is_some() {
+                coloring.set_blue(v);
+            } else {
+                coloring.set_red(v);
+            }
+        }
+        coloring
+    }
 }
 
 /// The concrete parameter values an SBL run resolved to (after applying the
@@ -154,19 +182,9 @@ pub fn sbl_mis_in<R: Rng + ?Sized>(
     let (independent_set, trace, params) = on_parked_engine(h, ws, |active, ws| {
         sbl_on_active_in(active, rng, config, &mut cost, ws)
     });
-    // Every vertex ends up decided: blue iff it joined the set.
-    let mut coloring = Coloring::new(h.n_vertices());
-    let mut blues = independent_set.iter().peekable();
-    for v in 0..h.n_vertices() as VertexId {
-        if blues.next_if_eq(&&v).is_some() {
-            coloring.set_blue(v);
-        } else {
-            coloring.set_red(v);
-        }
-    }
     SblOutcome {
         independent_set,
-        coloring,
+        n_vertices: h.n_vertices(),
         trace,
         cost,
         params,
@@ -182,11 +200,14 @@ pub fn sbl_mis_in<R: Rng + ?Sized>(
 /// Returns the independent set (sorted, global ids), the round trace and
 /// the parameters the run resolved; costs are recorded into `cost`. Every
 /// round induces its sample in place into one sample engine, parked in `ws`
-/// between solves (an empty one on a fresh workspace). The RNG
-/// consumption order depends only on the engine-observable state (alive
-/// vertices ascending, walked by one gap draw per sampled vertex; live
-/// edges in arrival order), so two correct engines produce identical
-/// outcomes for the same seed.
+/// between solves (an empty one on a fresh workspace). A round samples and
+/// kills by rank in the alive order, so on [`hypergraph::ActiveHypergraph`]
+/// it costs its sample plus one move of the alive list. The set is read off
+/// in-set flags in one pass over the starting alive list, `O(n_alive)` and
+/// never `O(id_space)`. The RNG consumption order depends only on the
+/// engine-observable state (alive vertices ascending, walked by one gap
+/// draw per sampled vertex; live edges in arrival order), so two correct
+/// engines produce identical outcomes for the same seed.
 pub fn sbl_on_active_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
     active: &mut E,
     rng: &mut R,
@@ -246,7 +267,6 @@ pub fn sbl_on_active_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
     // would count as a fresh allocation on every such solve and break the
     // zero-reallocation contract.
     let mut sample: Option<E> = None;
-    let mut independent_set: Vec<VertexId> = Vec::new();
 
     // Main sampling loop (lines 4–22). The per-round flag buffers are reused
     // across rounds (and, through the workspace, across runs) and cleared
@@ -254,14 +274,21 @@ pub fn sbl_on_active_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
     let id_space = active.id_space();
     let mut round = 0usize;
     // Trusted clean takes (no O(id_space) re-zeroing): every round unwinds
-    // its marks/colors through the round's sampled list before putting the
-    // buffers back, so they are all-false between solves (debug-asserted).
+    // its marks/colors through the round's sampled list, and the answer is
+    // read off `in_set` by unsetting each flag, before the buffers go back,
+    // so they are all-false between solves (debug-asserted).
     let mut marked = ws.take_flags_clean("mis.sbl.marked", id_space);
     let mut blue_flags = ws.take_flags_clean("mis.sbl.blue", id_space);
     let mut red_flags = ws.take_flags_clean("mis.sbl.red", id_space);
-    let mut alive = ws.take_u32("mis.sbl.alive");
+    let mut in_set = ws.take_flags_clean("mis.sbl.in_set", id_space);
+    let mut ranks: Vec<u32> = ws.take_u32("mis.sbl.ranks");
     let mut sampled: Vec<VertexId> = ws.take_u32("mis.sbl.sampled");
     let mut reds: Vec<VertexId> = ws.take_u32("mis.sbl.reds");
+    // The solve's starting alive list: every vertex the solve decides, in
+    // the ascending order the answer is read off in.
+    let mut alive = ws.take_u32("mis.sbl.alive");
+    active.alive_into(&mut alive);
+    let mut set_size = 0usize;
     // One BL scratch for every per-round subcall: taken (and re-zeroed)
     // once per solve, kept clean between rounds by BL's own stage unwinding.
     let mut bl_scratch = BlScratch::take(ws, id_space);
@@ -271,21 +298,24 @@ pub fn sbl_on_active_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
     {
         let n_alive = active.n_alive();
         let m = active.n_live_edges();
-        // The alive set and the live edges do not change across retries of
-        // the same round, so hoist them out of the retry loop.
-        active.alive_into(&mut alive);
+        // The live edges do not change across retries of the same round,
+        // so hoist their total out of the retry loop.
         let total_live = active.total_live_size() as u64;
 
         // Sample until the dimension check passes (FAIL/retry), up to the
-        // configured retry budget, inducing each sample in place.
+        // configured retry budget, inducing each sample in place. The alive
+        // set does not change inside a round (inducing reads `active`
+        // through `&self`, BL runs on the sample), so each hit's rank is
+        // still the sampled vertex's rank when the round kills it.
         let mut failures = 0usize;
         loop {
+            ranks.clear();
+            for_each_hit(rng, p, n_alive, |i| ranks.push(i as u32));
             sampled.clear();
-            for_each_hit(rng, p, alive.len(), |i| {
-                let v = alive[i];
+            active.alive_at(&ranks, &mut sampled);
+            for &v in &sampled {
                 marked[v as usize] = true;
-                sampled.push(v);
-            });
+            }
             cost.record(Cost::parallel_step(n_alive as u64));
             let sub = sample.get_or_insert_with(|| {
                 ws.take_any::<E>("mis.sbl.sub")
@@ -317,7 +347,8 @@ pub fn sbl_on_active_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
             break;
         }
 
-        // Run BL on the sampled sub-hypergraph.
+        // Run BL on the sampled sub-hypergraph; its set comes back unsorted,
+        // which neither the flags nor the trim below mind.
         let sample_dimension = sub.dimension();
         let sample_edges = sub.n_live_edges();
         let (blues, bl_trace) =
@@ -326,7 +357,9 @@ pub fn sbl_on_active_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
         // Permanent coloring of V' (invariant of line 5).
         for &v in &blues {
             blue_flags[v as usize] = true;
+            in_set[v as usize] = true;
         }
+        set_size += blues.len();
         reds.clear();
         for &v in &sampled {
             if !blue_flags[v as usize] {
@@ -335,11 +368,10 @@ pub fn sbl_on_active_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
             }
         }
         let rejected = reds.len();
-        independent_set.extend(blues.iter().copied());
 
         // Update H (lines 12–20): V <- V \ V', drop edges touching red,
         // shrink the rest by the blue vertices.
-        active.kill_vertices(&sampled);
+        active.kill_alive_at(&ranks, &sampled);
         let edges_discarded = active.discard_edges_touching(&red_flags, &reds);
         let emptied = active.shrink_edges_by(&blue_flags, &blues);
         assert_eq!(
@@ -376,7 +408,7 @@ pub fn sbl_on_active_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
     ws.put_flags("mis.sbl.marked", marked);
     ws.put_flags("mis.sbl.blue", blue_flags);
     ws.put_flags("mis.sbl.red", red_flags);
-    ws.put_u32("mis.sbl.alive", alive);
+    ws.put_u32("mis.sbl.ranks", ranks);
     ws.put_u32("mis.sbl.sampled", sampled);
     ws.put_u32("mis.sbl.reds", reds);
     bl_scratch.put(ws);
@@ -395,15 +427,26 @@ pub fn sbl_on_active_in<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
                 kuw_on_active_in(active, rng, cost, ws).0
             }
         };
-        independent_set.extend(added);
+        for &v in &added {
+            in_set[v as usize] = true;
+        }
+        set_size += added.len();
     }
     trace.tail_vertices = tail_vertices;
     if let Some(sub) = sample {
         ws.put_any("mis.sbl.sub", sub);
     }
 
-    independent_set.sort_unstable();
-    independent_set.dedup();
+    // Every vertex of the set was alive at the start, so one pass over the
+    // starting alive list reads the set ascending and leaves `in_set` clean.
+    let mut independent_set = Vec::with_capacity(set_size);
+    for &v in &alive {
+        if std::mem::take(&mut in_set[v as usize]) {
+            independent_set.push(v);
+        }
+    }
+    ws.put_flags("mis.sbl.in_set", in_set);
+    ws.put_u32("mis.sbl.alive", alive);
     (independent_set, trace, resolved)
 }
 
@@ -425,8 +468,8 @@ mod tests {
         let h = hypergraph_from_edges(6, vec![vec![0, 1, 2], vec![2, 3], vec![3, 4, 5]]);
         let out = sbl_mis(&h, &mut rng(1));
         assert_eq!(verify_mis(&h, &out.independent_set), Ok(()));
-        assert!(out.coloring.is_complete());
-        assert_eq!(out.coloring.blues(), out.independent_set);
+        assert!(out.coloring().is_complete());
+        assert_eq!(out.coloring().blues(), out.independent_set);
     }
 
     #[test]
@@ -449,7 +492,7 @@ mod tests {
         assert!(!out.trace.direct_bl);
         assert!(out.trace.n_rounds() >= 1);
         assert_eq!(verify_mis(&h, &out.independent_set), Ok(()));
-        assert!(out.coloring.is_complete());
+        assert!(out.coloring().is_complete());
     }
 
     #[test]

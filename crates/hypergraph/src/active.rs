@@ -22,7 +22,8 @@
 //! set structures:
 //!
 //! * a per-vertex `u8` status array plus a compacted, ascending list of the
-//!   alive vertices (`alive_slice`), maintained incrementally on kills;
+//!   alive vertices (`alive_slice`), maintained incrementally on kills and
+//!   addressable by rank (`alive_at`, `kill_alive_at`);
 //! * a CSR edge arena (`edge_offsets` / `edge_vertices`) whose per-edge
 //!   segments are compacted in place when blue vertices are trimmed, plus a
 //!   per-edge live-vertex counter — the live members of edge `e` are always
@@ -138,6 +139,14 @@ pub const EDGE_SINGLETON: u8 = 4;
 /// byte-identical decisions, which the pinned-seed batch determinism suite
 /// enforces.
 ///
+/// **Rank access:** a vertex's *rank* is its position in the ascending
+/// alive order. [`alive_at`](Self::alive_at) reads vertices by rank and
+/// [`kill_alive_at`](Self::kill_alive_at) kills them by rank, so a caller
+/// that draws ranks (SBL's sampler walks `0..n_alive`) touches only what it
+/// drew. A rank names a vertex only until the next kill, which shifts every
+/// rank after it: look up and kill against the same alive set, as an SBL
+/// round does (inducing reads the parent through `&self`).
+///
 /// # Concurrency (the serving seam)
 ///
 /// Engines are plain owned data — [`ActiveHypergraph`] (and the reference
@@ -193,6 +202,32 @@ pub trait ActiveEngine: HypergraphView + Clone {
     fn alive_into(&self, out: &mut Vec<VertexId>) {
         out.clear();
         out.extend(self.alive_vertices());
+    }
+
+    /// Appends the alive vertex at each of `ranks` to `out`, where rank `r`
+    /// names the `r`-th alive vertex in increasing order. `ranks` must be
+    /// strictly ascending and each below [`n_alive`](Self::n_alive), so the
+    /// appended vertices ascend too. The default indexes
+    /// [`alive_vertices`](Self::alive_vertices); engines that keep a
+    /// compacted alive list index it directly, `O(|ranks|)`.
+    fn alive_at(&self, ranks: &[u32], out: &mut Vec<VertexId>) {
+        let alive = self.alive_vertices();
+        out.extend(ranks.iter().map(|&r| alive[r as usize]));
+    }
+
+    /// Kills the alive vertices at `ranks` (the [`alive_at`](Self::alive_at)
+    /// contract). `vs` must list exactly the vertices at those ranks, in
+    /// the same order, as `alive_at` appended them; implementations may use
+    /// either (the set/list convention of
+    /// [`shrink_edges_by`](Self::shrink_edges_by)). Observationally
+    /// identical to [`kill_vertices`](Self::kill_vertices)`(vs)`, which is
+    /// the default. [`ActiveHypergraph`] flips only the killed statuses and
+    /// closes the gaps in its alive list with one move per kept run:
+    /// `O(|ranks|)` plus a memmove of the list, with no status sweep and no
+    /// allocation.
+    fn kill_alive_at(&mut self, ranks: &[u32], vs: &[VertexId]) {
+        let _ = ranks;
+        self.kill_vertices(vs);
     }
 
     /// Total size of the live edges, `Σ_e |e|` over live members.
@@ -671,6 +706,49 @@ impl ActiveHypergraph {
                 self.alive_list.retain(|&v| status[v as usize] == V_ALIVE);
             }
         }
+    }
+
+    /// Appends the alive vertex at each of `ranks` (ascending, each below
+    /// [`n_alive`](Self::n_alive)) to `out`, read straight off the alive
+    /// list (see [`ActiveEngine::alive_at`]).
+    pub fn alive_at(&self, ranks: &[u32], out: &mut Vec<VertexId>) {
+        out.extend(ranks.iter().map(|&r| self.alive_list[r as usize]));
+    }
+
+    /// Kills the alive vertices at `ranks`, which `vs` lists in the same
+    /// order (see [`ActiveEngine::kill_alive_at`]). Flips the killed
+    /// statuses, then moves each run of kept vertices between two killed
+    /// ranks down over the gaps: `O(|ranks|)` plus one memmove of the list's
+    /// tail, no status sweep and no allocation.
+    pub fn kill_alive_at(&mut self, ranks: &[u32], vs: &[VertexId]) {
+        debug_assert!(
+            ranks.windows(2).all(|w| w[0] < w[1]),
+            "ranks must be strictly ascending"
+        );
+        debug_assert!(
+            ranks.len() == vs.len()
+                && ranks
+                    .iter()
+                    .zip(vs)
+                    .all(|(&r, &v)| self.alive_list[r as usize] == v),
+            "vs must list exactly the vertices at ranks"
+        );
+        let Some(&first) = ranks.first() else {
+            return;
+        };
+        for &v in vs {
+            self.status[v as usize] = V_DEAD;
+        }
+        let mut write = first as usize;
+        for (k, &r) in ranks.iter().enumerate() {
+            let lo = r as usize + 1;
+            let hi = ranks
+                .get(k + 1)
+                .map_or(self.alive_list.len(), |&next| next as usize);
+            self.alive_list.copy_within(lo..hi, write);
+            write += hi - lo;
+        }
+        self.alive_list.truncate(write);
     }
 
     /// Kills every alive vertex in no live edge and appends them, ascending,
@@ -1450,6 +1528,14 @@ impl ActiveEngine for ActiveHypergraph {
     fn alive_into(&self, out: &mut Vec<VertexId>) {
         out.clear();
         out.extend_from_slice(self.alive_slice());
+    }
+
+    fn alive_at(&self, ranks: &[u32], out: &mut Vec<VertexId>) {
+        ActiveHypergraph::alive_at(self, ranks, out)
+    }
+
+    fn kill_alive_at(&mut self, ranks: &[u32], vs: &[VertexId]) {
+        ActiveHypergraph::kill_alive_at(self, ranks, vs)
     }
 
     fn total_live_size(&self) -> usize {

@@ -30,10 +30,90 @@ enum Op {
     RemoveSingletons,
     /// Kill the alive vertices in no live edge (BL's coinless step).
     KillIsolated,
+    /// SBL's round update by rank: look up the alive vertices at the picked
+    /// ranks, kill them by rank, discard the edges touching every other
+    /// one (red) and trim the rest out of the remaining edges (blue).
+    KillAt(Ranks),
     /// Query the independence oracle (no mutation).
     Oracle(Vec<u32>),
     /// Restrict both engines to the sub-hypergraph induced by a mark set.
     Induce(Vec<u32>),
+}
+
+/// Which ranks of the alive order a [`Op::KillAt`] picks, drawn against the
+/// alive count when the op runs.
+#[derive(Debug, Clone, Copy)]
+enum Ranks {
+    Empty,
+    First,
+    Last,
+    /// Every alive vertex.
+    All,
+    /// Runs of `len` adjacent ranks, one starting every `stride` ranks.
+    Runs {
+        len: u32,
+        stride: u32,
+    },
+    /// Each rank independently with probability 1/2, from this seed.
+    Random(u64),
+}
+
+impl Ranks {
+    /// The picked ranks, strictly ascending and each below `n_alive`.
+    fn pick(self, n_alive: usize) -> Vec<u32> {
+        let n = n_alive as u32;
+        match self {
+            _ if n == 0 => Vec::new(),
+            Ranks::Empty => Vec::new(),
+            Ranks::First => vec![0],
+            Ranks::Last => vec![n - 1],
+            Ranks::All => (0..n).collect(),
+            Ranks::Runs { len, stride } => (0..n).filter(|r| r % stride < len).collect(),
+            Ranks::Random(seed) => {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                (0..n).filter(|_| rng.gen_bool(0.5)).collect()
+            }
+        }
+    }
+
+    fn random<R: Rng>(rng: &mut R) -> Ranks {
+        match rng.gen_range(0..6u32) {
+            0 => Ranks::Empty,
+            1 => Ranks::First,
+            2 => Ranks::Last,
+            3 => Ranks::All,
+            4 => {
+                let len = rng.gen_range(1..=3);
+                Ranks::Runs {
+                    len,
+                    stride: len + rng.gen_range(1..=4u32),
+                }
+            }
+            _ => Ranks::Random(rng.next_u64()),
+        }
+    }
+}
+
+/// Runs [`Op::KillAt`] on one engine: `alive_at` must read the picked
+/// ranks off the alive order, then `kill_alive_at` kills them and the
+/// edges are updated as in an SBL round. Returns the looked-up vertices
+/// and the discard and emptied counts.
+fn kill_at<E: ActiveEngine>(engine: &mut E, ranks: Ranks) -> (Vec<u32>, usize, usize) {
+    let alive = engine.alive_vertices();
+    let ranks = ranks.pick(alive.len());
+    let mut vs = vec![u32::MAX];
+    engine.alive_at(&ranks, &mut vs);
+    assert_eq!(vs.remove(0), u32::MAX, "alive_at appends");
+    let expected: Vec<u32> = ranks.iter().map(|&r| alive[r as usize]).collect();
+    assert_eq!(vs, expected, "alive_at reads the alive order");
+    engine.kill_alive_at(&ranks, &vs);
+    assert!(vs.iter().all(|&v| !engine.is_alive(v)), "killed");
+    let reds: Vec<u32> = vs.iter().copied().skip(1).step_by(2).collect();
+    let blues: Vec<u32> = vs.iter().copied().step_by(2).collect();
+    let id_space = engine.id_space();
+    let discarded = engine.discard_edges_touching(&flags(id_space, &reds), &reds);
+    let emptied = engine.shrink_edges_by(&flags(id_space, &blues), &blues);
+    (vs, discarded, emptied)
 }
 
 fn flags(id_space: usize, vs: &[u32]) -> Vec<bool> {
@@ -186,6 +266,14 @@ fn replay(h: &Hypergraph, ops: &[Op]) {
                 );
                 validate(&flat, &ctx);
             }
+            Op::KillAt(ranks) => {
+                assert_eq!(
+                    kill_at(&mut flat, *ranks),
+                    kill_at(&mut reference, *ranks),
+                    "{ctx}: killed vertices, discarded and emptied edges"
+                );
+                validate(&flat, &ctx);
+            }
             Op::Oracle(vs) => {
                 let vs: Vec<u32> = vs
                     .iter()
@@ -254,13 +342,14 @@ fn random_script<R: Rng>(rng: &mut R, id_space: usize, len: usize) -> Vec<Op> {
         pool
     };
     for _ in 0..len {
-        let op = match rng.gen_range(0..7u32) {
+        let op = match rng.gen_range(0..8u32) {
             0 => Op::DecideBlue(subset(rng, 4)),
             1 => Op::DecideRed(subset(rng, 4)),
             2 => Op::RemoveDominated,
             3 => Op::RemoveSingletons,
             4 => Op::Oracle(subset(rng, 8)),
             5 => Op::KillIsolated,
+            6 => Op::KillAt(Ranks::random(rng)),
             _ => Op::Induce(subset(rng, id_space)),
         };
         ops.push(op);
@@ -372,6 +461,23 @@ fn handpicked_scripts() {
             Op::KillIsolated,
         ],
     );
+
+    // Every rank pick on a full engine, on an induced sub-engine and on
+    // one emptied by the picks themselves.
+    let picks = [
+        Ranks::Empty,
+        Ranks::First,
+        Ranks::Last,
+        Ranks::Runs { len: 2, stride: 5 },
+        Ranks::Random(3),
+        Ranks::Runs { len: 1, stride: 2 },
+    ];
+    let h = generate::paper_regime(&mut ChaCha8Rng::seed_from_u64(0x7A4C), 120, 24, 8);
+    let mut script: Vec<Op> = picks.iter().map(|&r| Op::KillAt(r)).collect();
+    script.push(Op::Induce((0..90).filter(|v| v % 7 != 3).collect()));
+    script.extend(picks.iter().map(|&r| Op::KillAt(r)));
+    script.extend([Op::KillAt(Ranks::All), Op::KillAt(Ranks::First)]);
+    replay(&h, &script);
 }
 
 /// `induced_by_into` (compact incidence, buffer reuse) and `reset_induced`
@@ -495,6 +601,9 @@ fn apply_op(
         }
         Op::KillIsolated => {
             assert_eq!(kill_isolated(flat), kill_isolated(reference));
+        }
+        Op::KillAt(ranks) => {
+            assert_eq!(kill_at(flat, *ranks), kill_at(reference, *ranks));
         }
         Op::Oracle(vs) => {
             let vs: Vec<u32> = vs

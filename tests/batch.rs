@@ -56,8 +56,8 @@ type SblFingerprint = (Vec<u32>, Vec<u32>, Vec<u32>, String, u64, u64, u64);
 fn sbl_fingerprint(out: &SblOutcome) -> SblFingerprint {
     (
         out.independent_set.clone(),
-        out.coloring.blues(),
-        out.coloring.reds(),
+        out.coloring().blues(),
+        out.coloring().reds(),
         format!("{:?}", out.trace),
         out.cost.cost().work,
         out.cost.cost().depth,

@@ -91,10 +91,10 @@ fn sbl_trace_accounts_for_every_vertex() {
             };
             let out = sbl_mis_with(h, &mut r, &config);
             assert_eq!(verify_mis(h, &out.independent_set), Ok(()), "{ctx}");
-            assert!(out.coloring.is_complete(), "{ctx}");
-            assert_eq!(out.coloring.blues(), out.independent_set, "{ctx}");
+            assert!(out.coloring().is_complete(), "{ctx}");
+            assert_eq!(out.coloring().blues(), out.independent_set, "{ctx}");
             assert_eq!(
-                out.coloring.blues().len() + out.coloring.reds().len(),
+                out.coloring().blues().len() + out.coloring().reds().len(),
                 h.n_vertices(),
                 "{ctx}"
             );

@@ -33,8 +33,8 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let out = sbl_mis(&h, &mut rng);
         prop_assert_eq!(verify_mis(&h, &out.independent_set), Ok(()));
-        prop_assert!(out.coloring.is_complete());
-        prop_assert_eq!(out.coloring.blues(), out.independent_set);
+        prop_assert!(out.coloring().is_complete());
+        prop_assert_eq!(out.coloring().blues(), out.independent_set);
     }
 
     /// Beame–Luby always returns a verified MIS (dimension is ≤ 6 by
